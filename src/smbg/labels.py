@@ -92,6 +92,9 @@ def assign_boundary_labels(instances, grid):
     return g_s, g_e
 
 
+MAP_LABEL_MODES = ("iou", "ior")
+
+
 def assign_map_labels(instances, grid, mode="iou"):
     """Max-overlap confidence map G_c over valid (s, e) cells.
 
@@ -99,7 +102,7 @@ def assign_map_labels(instances, grid, mode="iou"):
     union with the best instance; mode='ior' uses intersection over the
     candidate's own length instead.
     """
-    if mode not in ("iou", "ior"):
+    if mode not in MAP_LABEL_MODES:
         raise ValueError(f"unknown map label mode {mode!r}")
     T, dt = grid.length, grid.dt
     g_c = np.zeros((T, T))

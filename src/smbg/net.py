@@ -9,8 +9,12 @@ The model maps a per-video feature sequence [B, N0, T] to
 The proposal feature map is assembled from per-duration-band 1D
 convolutions evaluated only at the start and end positions of each cell,
 which is what makes the layer cheap compared with dense boundary-matching
-sampling. A BMN-style sampling generator is included purely as the
-efficiency baseline for the cost model and benchmarks.
+sampling. The production forward never materializes that map: the first
+confidence-head conv reads the band sequences directly
+(``tensor.band_map_conv``). The dense map path (``mpfg_forward`` +
+``sec_head``) stays as the reference it is checked against. A BMN-style
+sampling generator is included purely as the efficiency baseline for the
+cost model and benchmarks.
 """
 
 from __future__ import annotations
@@ -72,34 +76,38 @@ def default_band_spec(T=100):
     return BandSpec(edges, kernels)
 
 
-def build_masks(T, spec, mode="duration"):
+def build_masks(T, spec):
     """Per-band binary (start, end) masks.
 
-    duration mode: cell (s, e) belongs to band i iff edges[i] <= e - s <
-    edges[i+1]; the masks exactly partition the upper triangle. literal
-    mode instead keeps both endpoints inside one band interval
-    (edges[i] <= s <= e < edges[i+1]); bands are then disjoint but cells
-    spanning an edge belong to no band.
+    Cell (s, e) belongs to band i iff edges[i] <= e - s < edges[i+1]; the
+    masks exactly partition the upper triangle.
     """
     spec.validate(T)
-    if mode not in ("duration", "literal"):
-        raise ValueError(f"unknown mask mode {mode!r}")
     ss, ee = np.meshgrid(np.arange(T), np.arange(T), indexing="ij")
-    valid = ee >= ss
     masks = []
     for i in range(spec.num_bands):
         lo, hi = spec.edges[i], spec.edges[i + 1]
-        if mode == "duration":
-            m = valid & (ee - ss >= lo) & (ee - ss < hi)
-        else:
-            m = valid & (ss >= lo) & (ee < hi)
-        masks.append(m.astype(np.float64))
+        masks.append(((ee - ss >= lo) & (ee - ss < hi)).astype(np.float64))
     return masks
 
 
 def band_cells(masks):
     """(start_indices, end_indices) arrays of each band's active cells."""
     return [tuple(np.nonzero(m)) for m in masks]
+
+
+def drop_mask_mode(d, where):
+    """Config dict without the retired "mask_mode" field.
+
+    Duration bands are the only band semantics; files written while a
+    second mode existed carry "mask_mode": "duration" and still load.
+    """
+    d = dict(d)
+    mode = d.pop("mask_mode", "duration")
+    if mode != "duration":
+        raise ValueError(f"{where}: mask_mode {mode!r} is not supported; duration bands "
+                         "are the only band semantics (drop the field or set 'duration')")
+    return d
 
 
 @dataclass
@@ -115,7 +123,6 @@ class ModelConfig:
     sec_hidden: int = 128
     dilation: int = 7
     band_spec: BandSpec = field(default_factory=default_band_spec)
-    mask_mode: str = "duration"
 
     def __post_init__(self):
         if isinstance(self.band_spec, dict):
@@ -187,7 +194,7 @@ class SmbgNet:
         self.sec_c2 = Conv2d(rng, c.sec_hidden, c.sec_hidden, 1)
         self.sec_bn3 = t.BatchNormState(c.sec_hidden)
         self.sec_c3 = Conv2d(rng, c.sec_hidden, 2, 1)
-        self.masks = build_masks(c.temporal_length, c.band_spec, c.mask_mode)
+        self.masks = build_masks(c.temporal_length, c.band_spec)
         self.cells = band_cells(self.masks)
 
     # -- parameter plumbing --------------------------------------------
@@ -234,28 +241,45 @@ class SmbgNet:
         B, _, T = f_b.data.shape
         return t.reshape(p_s, (B, T)), t.reshape(p_e, (B, T))
 
+    def band_sequences(self, f_b):
+        """Per-band start and end feature sequences, each [B, C, T]."""
+        return ([conv(f_b) for conv in self.band_starts],
+                [conv(f_b) for conv in self.band_ends])
+
     def mpfg_forward(self, f_b):
-        starts = [conv(f_b) for conv in self.band_starts]
-        ends = [conv(f_b) for conv in self.band_ends]
+        """The dense [B, 2C, T, T] proposal feature map (reference path)."""
+        starts, ends = self.band_sequences(f_b)
         return t.assemble_band_maps(starts, ends, self.cells, self.config.temporal_length)
 
     def sec_head(self, f_p, train=False):
-        h = t.batchnorm_lite(t.relu(self.sec_dil(f_p)), self.sec_bn1, train)
+        """Confidence head over a dense proposal feature map (reference path)."""
+        return self._sec_tail(self.sec_dil(f_p), train)
+
+    def _sec_tail(self, h, train):
+        """Everything after the first map conv: relu/bn, 1x1 convs, sigmoid."""
+        h = t.batchnorm_lite(t.relu(h), self.sec_bn1, train)
         h = t.batchnorm_lite(t.relu(self.sec_c1(h)), self.sec_bn2, train)
         h = t.batchnorm_lite(t.relu(self.sec_c2(h)), self.sec_bn3, train)
         out = t.sigmoid(self.sec_c3(h))
         return select_channel(out, 0), select_channel(out, 1)
 
     def forward(self, x, train=False):
-        """Full pass: features -> (P_s, P_e, P_c, P_r)."""
+        """Full pass: features -> (P_s, P_e, P_c, P_r).
+
+        The first map conv reads the band sequences directly, so the
+        proposal feature map and its im2col are never allocated; the
+        result equals sec_head(mpfg_forward(f_b)).
+        """
         f_b = self.base_module(x)
         p_s, p_e = self.boundary_head(f_b)
-        f_p = self.mpfg_forward(f_b)
-        p_c, p_r = self.sec_head(f_p, train=train)
-        return {"f_b": f_b, "f_p": f_p, "P_s": p_s, "P_e": p_e, "P_c": p_c, "P_r": p_r}
+        starts, ends = self.band_sequences(f_b)
+        h = t.band_map_conv(starts, ends, self.config.band_spec.edges, self.sec_dil.w,
+                            self.sec_dil.b, self.sec_dil.dilation)
+        p_c, p_r = self._sec_tail(h, train)
+        return {"f_b": f_b, "P_s": p_s, "P_e": p_e, "P_c": p_c, "P_r": p_r}
 
 
-def mpfg_naive_oracle(f_b, spec, net, mask_mode="duration"):
+def mpfg_naive_oracle(f_b, spec, net):
     """Cell-by-cell reference for the multilevel band layer.
 
     For every active cell (s, e) of every band the two 1D convolution
@@ -265,7 +289,7 @@ def mpfg_naive_oracle(f_b, spec, net, mask_mode="duration"):
     x = f_b.data if isinstance(f_b, t.Tensor) else np.asarray(f_b, dtype=np.float64)
     B, N, T = x.shape
     C = net.config.band_channels
-    masks = build_masks(T, spec, mask_mode)
+    masks = build_masks(T, spec)
     out = np.zeros((B, 2 * C, T, T))
     for i in range(spec.num_bands):
         k = spec.kernel_sizes[i]
@@ -388,24 +412,16 @@ class BmnPfgReference:
         return np.stack(outs)
 
 
-def _diagonal_view(maps, d):
-    """Writable view of cells (s, s+d) of [B, C, T, T] maps, shape [B, C, T-d]."""
-    B, C, T, _ = maps.shape
-    s0, s1, s2, s3 = maps.strides
-    return np.lib.stride_tricks.as_strided(maps[:, :, :, d:], (B, C, T - d),
-                                           (s0, s1, s2 + s3))
-
-
 def mpfg_block_forward(net, x):
     """Raw-numpy forward of just the band layer (benchmark counterpart).
 
     Same arithmetic as SmbgNet.mpfg_forward minus graph bookkeeping; x is
-    the base feature map f_b as a plain [B,N,T] array. Duration bands are
-    contiguous diagonal ranges of the map, so the masked assembly reduces
-    to strided per-diagonal copies. Requires duration mask mode.
+    the base feature map f_b as a plain [B,N,T] array. A duration band
+    covers the cells (s, e) with e - s in [lo, hi), which in row s is the
+    contiguous run e in [s+lo, s+hi): the start features there are the
+    constant column S[:, :, s] and the end features the slice E[:, :, e].
+    So the masked assembly reduces to contiguous row writes.
     """
-    if net.config.mask_mode != "duration":
-        raise ValueError("fast block forward assumes duration-band masks")
     C = net.config.band_channels
     T = net.config.temporal_length
     B = x.shape[0]
@@ -419,10 +435,11 @@ def mpfg_block_forward(net, x):
         feat = np.matmul(w_cat, col)
         feat[:, :C] += conv_s.b.data[:, None]
         feat[:, C:] += conv_e.b.data[:, None]
-        for d in range(edges[i], min(edges[i + 1], T)):
-            view = _diagonal_view(out, d)
-            view[:, :C] = feat[:, :C, :T - d]
-            view[:, C:] = feat[:, C:, d:]
+        lo, hi = edges[i], edges[i + 1]
+        for s in range(T - lo):
+            e0, e1 = s + lo, min(s + hi, T)
+            out[:, :C, s, e0:e1] = feat[:, :C, s, None]
+            out[:, C:, s, e0:e1] = feat[:, C:, e0:e1]
     return out
 
 
@@ -473,7 +490,7 @@ def save_checkpoint(path, net, extra_header=None, optimizer=None):
 def load_checkpoint(path, optimizer=None):
     """Rebuild a SmbgNet (and optionally optimizer state) from a container."""
     header, arrays = load_arrays(path)
-    config = ModelConfig(**header["model_config"])
+    config = ModelConfig(**drop_mask_mode(header["model_config"], f"checkpoint {path}"))
     net = SmbgNet(config, seed=0)
     for name, p in net.named_parameters():
         if name not in arrays:

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import evalkit, losses, postprocess, tensor as t
-from .labels import ActionInstance, TemporalGrid, build_label_set, load_annotations, save_annotations
-from .net import (BandSpec, ModelConfig, SmbgNet, default_band_spec, load_arrays,
-                  load_checkpoint, save_arrays, save_checkpoint)
+from .labels import (MAP_LABEL_MODES, ActionInstance, TemporalGrid, build_label_set,
+                     load_annotations, save_annotations)
+from .net import (BandSpec, ModelConfig, SmbgNet, default_band_spec, drop_mask_mode,
+                  load_arrays, load_checkpoint, save_arrays, save_checkpoint)
 
 
 @dataclass
@@ -58,7 +59,6 @@ class RunConfig:
     window_overlap: float = 0.5
     band_spec: dict = None
     dilation: int = 7
-    mask_mode: str = "duration"
     map_label_mode: str = "iou"
     # model widths (desk-scale defaults; see costmodel for the full published-scale block)
     in_channels: int = 16
@@ -92,6 +92,14 @@ class RunConfig:
     synthetic: dict = None
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"RunConfig.batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.window_overlap < 1.0:
+            raise ValueError(f"RunConfig.window_overlap must be in [0, 1), "
+                             f"got {self.window_overlap}")
+        if self.map_label_mode not in MAP_LABEL_MODES:
+            raise ValueError(f"RunConfig.map_label_mode must be one of {MAP_LABEL_MODES}, "
+                             f"got {self.map_label_mode!r}")
         if self.band_spec is None:
             self.band_spec = asdict(default_band_spec(self.model_temporal_length))
 
@@ -110,7 +118,6 @@ class RunConfig:
             sec_hidden=self.sec_hidden,
             dilation=self.dilation,
             band_spec=BandSpec(**self.band_spec),
-            mask_mode=self.mask_mode,
         )
 
     def sampling_config(self, rng_seed=0):
@@ -126,8 +133,8 @@ class RunConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(**dict(d))
+    def from_dict(cls, d, where="run config"):
+        return cls(**drop_mask_mode(d, where))
 
     def save(self, path):
         with open(path, "w") as f:
@@ -137,7 +144,7 @@ class RunConfig:
     @classmethod
     def load(cls, path):
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            return cls.from_dict(json.load(f), where=f"run config {path}")
 
 
 # -- feature files -------------------------------------------------------
@@ -441,10 +448,12 @@ def train(config, dataset, resume=None):
 
 # -- inference --------------------------------------------------------------
 
-def _forward_arrays(net, x_batch):
+def _forward_arrays(net, x_batch, what):
+    """(P_s, P_e, P_c, P_r) arrays; a non-finite output raises, naming `what`."""
     with t.no_grad():
         out = net.forward(t.Tensor(x_batch), train=False)
-    return (out["P_s"].data, out["P_e"].data, out["P_c"].data, out["P_r"].data)
+    keys = ("P_s", "P_e", "P_c", "P_r")
+    return tuple(out[k].assert_finite(f"{k} of {what}").data for k in keys)
 
 
 def infer(config, checkpoint_path, dataset, out_path=None):
@@ -463,7 +472,7 @@ def infer(config, checkpoint_path, dataset, out_path=None):
         for lo in range(0, len(vids), config.batch_size):
             chunk = vids[lo:lo + config.batch_size]
             x = np.stack([rescale_linear(dataset[v]["features"], T) for v in chunk])
-            p_s, p_e, p_c, p_r = _forward_arrays(net, x)
+            p_s, p_e, p_c, p_r = _forward_arrays(net, x, f"videos {chunk}")
             for j, vid in enumerate(chunk):
                 grid = TemporalGrid(T, dataset[vid]["duration_seconds"])
                 proposals[vid] = postprocess.proposals_for_video(
@@ -477,7 +486,7 @@ def infer(config, checkpoint_path, dataset, out_path=None):
             dt_raw = d["duration_seconds"] / t_raw
             wins = sliding_windows(d["features"], L, config.window_overlap)
             x = np.stack([w[0] for w in wins])
-            p_s, p_e, p_c, p_r = _forward_arrays(net, x)
+            p_s, p_e, p_c, p_r = _forward_arrays(net, x, f"windows of video {vid!r}")
             all_ts, all_te, all_sc = [], [], []
             for j, (_, offset, valid) in enumerate(wins):
                 grid = TemporalGrid(L, L * dt_raw)
@@ -549,7 +558,8 @@ def noise_probe(config, checkpoint_path, dataset, video_id,
     mean, std = float(feats.mean()), float(feats.std())
 
     def run(f_mat):
-        p_s, p_e, p_c, p_r = _forward_arrays(net, rescale_linear(f_mat, T)[None])
+        p_s, p_e, p_c, p_r = _forward_arrays(net, rescale_linear(f_mat, T)[None],
+                                             f"video {video_id!r}")
         return p_c[0], p_r[0]
 
     clean_c, clean_r = run(feats)

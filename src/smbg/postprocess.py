@@ -25,14 +25,17 @@ def fuse_scores(p_s, p_e, p_c, p_r, grid):
     """Dense proposals: one per valid (s, e) cell.
 
     Cell score is P_s[s] * P_e[e] * P_c[s,e] * P_r[s,e]; indices convert
-    to seconds through the grid (cell (s, e) spans [s*dt, (e+1)*dt]).
+    to seconds through the grid (cell (s, e) spans [s*dt, (e+1)*dt]). The
+    product (e+1)*dt can round a few ulp past the duration, so ends are
+    clamped to it.
     Returns parallel arrays (starts, ends, t_starts, t_ends, scores).
     """
     p_s, p_e = np.asarray(p_s), np.asarray(p_e)
     T = p_s.shape[0]
     ss, ee = np.triu_indices(T)
     scores = p_s[ss] * p_e[ee] * np.asarray(p_c)[ss, ee] * np.asarray(p_r)[ss, ee]
-    return ss, ee, ss * grid.dt, (ee + 1) * grid.dt, scores
+    t_ends = np.minimum((ee + 1) * grid.dt, grid.duration)
+    return ss, ee, ss * grid.dt, t_ends, scores
 
 
 def interval_iou_one_vs_many(t0, t1, starts, ends):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -78,9 +79,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(()))
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
 
     def assert_finite(self, what="tensor"):
         """NaN/Inf is a contract violation; raise with a location."""
@@ -575,6 +573,128 @@ def assemble_band_maps(starts, ends, band_cells, T):
                 e_t._accumulate(acc)
 
     return _make(out_data, (*starts, *ends), backward, "assemble_band_maps")
+
+
+@lru_cache(maxsize=16)
+def _band_map_plan(T, edges, k, dilation):
+    """Slice table of band_map_conv: one (d, entries) pair per output diagonal.
+
+    Tap (dy, dx) of output cell (s, s+d) reads input cell (s+oy, s+d+ox),
+    oy = dilation*(dy - k//2), ox likewise. That cell lies on diagonal
+    d' = d + ox - oy, so its band is fixed per (d, tap), and taps that land
+    on the zero lower triangle (d' < 0) or off the map drop out. An entry
+    (band, tap, lo, hi, u0, v0) adds U[band][tap, u0:u0+hi-lo] and
+    V[band][tap, v0:v0+hi-lo] to starts s in [lo, hi) of diagonal d.
+    """
+    band_of = np.searchsorted(np.asarray(edges), np.arange(T), side="right") - 1
+    c = k // 2
+    taps = [(dy * k + dx, dilation * (dy - c), dilation * (dx - c))
+            for dy in range(k) for dx in range(k)]
+    plan = []
+    for d in range(-(T - 1), T):
+        entries = []
+        for tap, oy, ox in taps:
+            dp = d + ox - oy
+            if not 0 <= dp < T:
+                continue
+            lo = max(0, -d, -oy, -d - ox)
+            hi = min(T, T - d, T - oy, T - d - ox)
+            if lo < hi:
+                entries.append((int(band_of[dp]), tap, lo, hi, lo + oy, lo + d + ox))
+        plan.append((d, tuple(entries)))
+    return tuple(plan)
+
+
+def band_map_conv(starts, ends, edges, w, b, dilation=1):
+    """Dilated 'same' conv over the duration-band proposal map, never built.
+
+    Equals conv2d_dilated(assemble_band_maps(starts, ends, cells, T), w, b,
+    dilation) where cells are the duration bands of `edges` (cell (s, e) is
+    in band i iff edges[i] <= e - s < edges[i+1]). Every map cell is a
+    band's start feature at s stacked on its end feature at e, so each tap
+    is one matmul per band over the [B, C, T] sequences (U = W_tap[:, :C] @
+    S, V = W_tap[:, C:] @ E), and each output diagonal is a sum of
+    contiguous slices of U and V. All T*T output cells are produced,
+    including the lower triangle, which sees the bands through the taps
+    that reach across the main diagonal.
+    """
+    starts = [_as_tensor(s) for s in starts]
+    ends = [_as_tensor(e) for e in ends]
+    w, b = _as_tensor(w), _as_tensor(b)
+    edges = tuple(int(e) for e in edges)
+    B, C, T = starts[0].data.shape
+    Co, Ci, kh, kw = w.data.shape
+    if len(starts) != len(edges) - 1 or len(ends) != len(starts):
+        raise ValueError(f"{len(edges) - 1} bands need as many start and end sequences, "
+                         f"got {len(starts)} and {len(ends)}")
+    if edges[0] != 0 or edges[-1] != T:
+        raise ValueError(f"band edges must run from 0 to T={T}, got {list(edges)}")
+    if any(x.data.shape != (B, C, T) for x in (*starts, *ends)):
+        raise ValueError(f"band sequences must all have shape {(B, C, T)}")
+    if kh != kw or kh % 2 == 0:
+        raise ValueError(f"kernel must be odd and square, got {kh}x{kw}")
+    if Ci != 2 * C:
+        raise ValueError(f"channel mismatch: map has {2 * C}, weight expects {Ci}")
+    if dilation < 1:
+        raise ValueError(f"dilation must be >= 1, got {dilation}")
+    K = kh * kw
+    plan = _band_map_plan(T, edges, kh, int(dilation))
+    # [C, K*Co] halves of the kernel, column tap*Co + o with tap = dy*kw + dx
+    w_s = w.data[:, :C].transpose(1, 2, 3, 0).reshape(C, K * Co)
+    w_e = w.data[:, C:].transpose(1, 2, 3, 0).reshape(C, K * Co)
+    # Time-major [T*B, C] sequences, so U[band][tap, s] = (W_tap[:, :C] @ S)[:, :, s]
+    # is one contiguous [B, Co] block and a run of starts is one contiguous slice.
+    seq_s = [x.data.transpose(2, 0, 1).reshape(T * B, C) for x in starts]
+    seq_e = [x.data.transpose(2, 0, 1).reshape(T * B, C) for x in ends]
+    U = [np.matmul(x, w_s).reshape(T, B, K, Co).transpose(2, 0, 1, 3).copy() for x in seq_s]
+    V = [np.matmul(x, w_e).reshape(T, B, K, Co).transpose(2, 0, 1, 3).copy() for x in seq_e]
+    # diagonal-major output: diags[d + T-1, s] is cell (s, s+d)
+    diags = np.empty((2 * T - 1, T, B, Co))
+    for d, entries in plan:
+        acc = diags[d + T - 1]
+        acc[...] = b.data
+        for band, tap, lo, hi, u0, v0 in entries:
+            n = hi - lo
+            acc[lo:hi] += U[band][tap, u0:u0 + n]
+            acc[lo:hi] += V[band][tap, v0:v0 + n]
+    del U, V
+    # row s of the map is diags[T-1-s : 2T-1-s, s]; one small transpose per row
+    out_data = np.empty((B, Co, T, T))
+    for s in range(T):
+        out_data[:, :, s, :] = diags[T - 1 - s:2 * T - 1 - s, s].transpose(1, 2, 0)
+    del diags
+
+    def backward(g):
+        g_diags = np.empty((2 * T - 1, T, B, Co))
+        for s in range(T):
+            g_diags[T - 1 - s:2 * T - 1 - s, s] = g[:, :, s, :].transpose(2, 0, 1)
+        gU = [np.zeros((K, T, B, Co)) for _ in starts]
+        gV = [np.zeros((K, T, B, Co)) for _ in ends]
+        for d, entries in plan:
+            gd = g_diags[d + T - 1]
+            for band, tap, lo, hi, u0, v0 in entries:
+                n = hi - lo
+                gU[band][tap, u0:u0 + n] += gd[lo:hi]
+                gV[band][tap, v0:v0 + n] += gd[lo:hi]
+        del g_diags
+        gw_s = np.zeros((C, K * Co))
+        gw_e = np.zeros((C, K * Co))
+        for tensors, seqs, grads, w_x, gw_x in ((starts, seq_s, gU, w_s, gw_s),
+                                                 (ends, seq_e, gV, w_e, gw_e)):
+            for x, seq, gx in zip(tensors, seqs, grads):
+                # back to [T*B, K*Co], the layout of the forward matmul's output
+                gx = gx.transpose(1, 2, 0, 3).reshape(T * B, K * Co)
+                if x.requires_grad:
+                    x._accumulate(np.matmul(gx, w_x.T).reshape(T, B, C).transpose(1, 2, 0))
+                if w.requires_grad:
+                    gw_x += np.matmul(seq.T, gx)
+        if w.requires_grad:
+            gw = np.concatenate([gw_s, gw_e]).reshape(Ci, kh, kw, Co)
+            w._accumulate(gw.transpose(3, 0, 1, 2))
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=(0, 2, 3)))
+
+    return _make(out_data, (*starts, *ends, w, b), backward, "band_map_conv")
 
 
 class BatchNormState:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from smbg import tensor as t
 from smbg.net import (BandSpec, BmnConfig, BmnPfgReference, ModelConfig, SmbgNet,
                       build_masks, default_band_spec, load_checkpoint,
-                      mpfg_block_forward, mpfg_naive_oracle, save_checkpoint)
+                      mpfg_block_forward, mpfg_naive_oracle, save_arrays, save_checkpoint)
 
 RNG = t.init_rng(77)
 
@@ -77,16 +77,6 @@ class TestMasks:
         spec = BandSpec(edges, [3] * (len(edges) - 1))
         total = np.sum(build_masks(T, spec), axis=0)
         np.testing.assert_array_equal(total, np.triu(np.ones((T, T))))
-
-    def test_literal_mode_leaves_spanning_cells_uncovered(self):
-        masks = build_masks(10, BandSpec([0, 4, 10], [3, 3]), mode="literal")
-        total = np.sum(masks, axis=0)
-        assert total[0, 2] == 1 and total[5, 8] == 1
-        assert total[2, 6] == 0  # spans the band edge: no band claims it
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mask mode"):
-            build_masks(10, BandSpec([0, 10], [3]), mode="banana")
 
 
 class TestBaseAndBoundary:
@@ -183,6 +173,44 @@ class TestMpfg:
         x2[:, :, 7] += 10.0  # distance 4 from s=3, 5 from e=12
         moved = net.mpfg_forward(t.Tensor(x2)).data[0, :, 3, 12]
         np.testing.assert_array_equal(base, moved)
+
+
+class TestFusedForward:
+    """forward() fuses sec_dil into the band layer; sec_head(mpfg_forward) is its reference."""
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_matches_dense_reference_path(self, train):
+        cfg = tiny_config(T=16, bands=BandSpec([0, 4, 9, 16], [3, 5, 7]),
+                          band_channels=3, sec_hidden=5, dilation=3)
+        net = SmbgNet(cfg, seed=13)
+        ref_net = SmbgNet(cfg, seed=13)
+        x = t.Tensor(RNG.standard_normal((2, 3, 16)))
+        got = net.forward(x, train=train)
+        f_b = ref_net.base_module(x)
+        want = ref_net.sec_head(ref_net.mpfg_forward(f_b), train=train)
+        for key, ref in zip(("P_c", "P_r"), want):
+            assert np.abs(got[key].data - ref.data).max() < 1e-12
+        # train mode pools all T*T cells into the batchnorm running statistics
+        np.testing.assert_allclose(net.sec_bn1.running_mean, ref_net.sec_bn1.running_mean,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(net.sec_bn1.running_var, ref_net.sec_bn1.running_var,
+                                   rtol=0, atol=1e-12)
+
+    def test_output_has_no_proposal_map(self):
+        net = SmbgNet(tiny_config(), seed=1)
+        out = net.forward(t.Tensor(RNG.standard_normal((1, 3, 8))))
+        assert set(out) == {"f_b", "P_s", "P_e", "P_c", "P_r"}
+
+    def test_training_step_never_builds_map_or_im2col(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense proposal map path used")
+
+        monkeypatch.setattr(t, "assemble_band_maps", refuse)
+        monkeypatch.setattr(t, "_im2col2d", refuse)
+        net = SmbgNet(tiny_config(T=12, bands=BandSpec([0, 4, 12], [3, 5])), seed=2)
+        out = net.forward(t.Tensor(RNG.standard_normal((2, 3, 12))), train=True)
+        t.tsum(t.add(out["P_c"], out["P_r"])).backward()
+        assert net.sec_dil.w.grad is not None and net.band_starts[0].w.grad is not None
 
 
 class TestSecHead:
@@ -285,6 +313,24 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(str(path))
+
+    def test_checkpoint_with_duration_mask_mode_loads(self, tmp_path):
+        net = SmbgNet(tiny_config(), seed=14)
+        path = str(tmp_path / "old.ckpt")
+        header = {"model_config": dict(net.config.to_dict(), mask_mode="duration")}
+        save_arrays(path, header, [(n, p.data) for n, p in net.named_parameters()]
+                    + net.named_buffers())
+        net2, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(net2.sec_dil.w.data, net.sec_dil.w.data)
+
+    def test_checkpoint_with_literal_mask_mode_rejected(self, tmp_path):
+        net = SmbgNet(tiny_config(), seed=14)
+        path = str(tmp_path / "literal.ckpt")
+        header = {"model_config": dict(net.config.to_dict(), mask_mode="literal")}
+        save_arrays(path, header, [(n, p.data) for n, p in net.named_parameters()]
+                    + net.named_buffers())
+        with pytest.raises(ValueError, match="mask_mode 'literal'"):
+            load_checkpoint(path)
 
     def test_forward_after_roundtrip_identical(self, tmp_path):
         cfg = tiny_config()

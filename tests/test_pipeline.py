@@ -10,6 +10,7 @@ from smbg import pipeline as pl
 from smbg import tensor as t
 from smbg.cli import main as cli_main
 from smbg.labels import ActionInstance
+from smbg.net import load_checkpoint, save_checkpoint
 
 RNG = t.init_rng(61)
 
@@ -183,6 +184,28 @@ class TestRunConfig:
         loaded = pl.RunConfig.load(path)
         assert loaded.to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -3),
+                                             ("window_overlap", 1.0),
+                                             ("window_overlap", 1.5),
+                                             ("window_overlap", -0.1),
+                                             ("map_label_mode", "dice")])
+    def test_bad_value_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"RunConfig.{field}"):
+            pl.RunConfig(**{field: value})
+
+    def test_duration_mask_mode_in_config_file_loads(self, tmp_path):
+        cfg = tiny_run_config(tmp_path)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(dict(cfg.to_dict(), mask_mode="duration")))
+        assert pl.RunConfig.load(str(path)).to_dict() == cfg.to_dict()
+
+    def test_literal_mask_mode_in_config_file_rejected(self, tmp_path):
+        cfg = tiny_run_config(tmp_path)
+        path = tmp_path / "literal.json"
+        path.write_text(json.dumps(dict(cfg.to_dict(), mask_mode="literal")))
+        with pytest.raises(ValueError, match="mask_mode 'literal'"):
+            pl.RunConfig.load(str(path))
+
     def test_model_temporal_length_tracks_mode(self, tmp_path):
         cfg = tiny_run_config(tmp_path, window_mode=True, window_length=32,
                               band_spec={"edges": [0, 8, 32], "kernel_sizes": [3, 5]})
@@ -309,6 +332,17 @@ class TestInference:
             dur = ds[vid]["duration_seconds"]
             for p in plist:
                 assert 0.0 <= p.t_start < p.t_end <= dur + 1e-9
+
+    def test_non_finite_outputs_name_the_videos(self, tmp_path):
+        cfg = tiny_run_config(tmp_path)
+        train_ds, _, eval_ds, _ = tiny_datasets(n_train=4, n_eval=2)
+        ckpt = pl.train(cfg, train_ds).checkpoints[-1]
+        net, header = load_checkpoint(ckpt)
+        net.sec_c3.b.data[0] = np.nan
+        bad_ckpt = str(tmp_path / "nan.ckpt")
+        save_checkpoint(bad_ckpt, net, header)
+        with pytest.raises(FloatingPointError, match=r"P_c of videos \['"):
+            pl.infer(cfg, bad_ckpt, eval_ds)
 
     def test_window_offset_seconds_equivalence(self):
         # propose cell (s,e) inside a window at offset w: seconds must match

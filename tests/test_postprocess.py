@@ -42,6 +42,15 @@ class TestFuseScores:
         for s, e, v in zip(ss, ee, sc):
             assert v == pytest.approx(want[(s, e)], rel=1e-12)
 
+    @pytest.mark.parametrize("duration", [110.0, 70.3, 123.456, 99.9, 1e3 / 3])
+    def test_ends_never_pass_duration(self, duration):
+        T = 100
+        grid = TemporalGrid(T, duration)
+        *_, ts, te, _ = pp.fuse_scores(np.ones(T), np.ones(T), np.ones((T, T)),
+                                       np.ones((T, T)), grid)
+        assert te.max() == duration
+        assert np.all(te <= duration) and np.all(ts < te)
+
     def test_seconds_follow_grid_convention(self):
         grid = TemporalGrid(4, 8.0)  # dt = 2
         ss, ee, ts, te, _ = pp.fuse_scores(np.ones(4), np.ones(4), np.ones((4, 4)),

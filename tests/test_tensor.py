@@ -248,6 +248,89 @@ class TestGatherAssemble:
         assert err < 1e-4
 
 
+def _band_inputs(B, C, Co, T, edges, k=3, requires_grad=False):
+    nb = len(edges) - 1
+    seqs = [t.Tensor(RNG.standard_normal((B, C, T)), requires_grad=requires_grad)
+            for _ in range(2 * nb)]
+    w = t.Tensor(RNG.standard_normal((Co, 2 * C, k, k)), requires_grad=requires_grad)
+    b = t.Tensor(RNG.standard_normal(Co), requires_grad=requires_grad)
+    return seqs[:nb], seqs[nb:], w, b
+
+
+def _dense_band_map_conv(starts, ends, edges, w, b, dilation):
+    from smbg.net import BandSpec, band_cells, build_masks
+    T = starts[0].data.shape[2]
+    spec = BandSpec(edges, [1] * (len(edges) - 1))
+    f_p = t.assemble_band_maps(starts, ends, band_cells(build_masks(T, spec)), T)
+    return t.conv2d_dilated(f_p, w, b, dilation)
+
+
+class TestBandMapConv:
+    """band_map_conv against the dense assemble_band_maps + conv2d_dilated path."""
+
+    @pytest.mark.parametrize("T,edges,dilation,C,Co", [
+        (8, [0, 3, 8], 2, 3, 5),
+        (8, [0, 8], 1, 2, 4),            # single band
+        (8, [0, 1, 2, 8], 4, 2, 3),      # dilation = T/2, one-diagonal bands
+        (16, [0, 5, 11, 16], 3, 4, 2),
+        (16, [0, 16], 9, 3, 3),          # single band, dilation > T/2
+        (16, [0, 4, 16], 15, 2, 5),      # taps reach only the main diagonal
+        (100, [0, 17, 33, 57, 100], 7, 3, 4),
+        (100, [0, 100], 50, 2, 3),
+    ])
+    def test_matches_dense_on_every_cell(self, T, edges, dilation, C, Co):
+        starts, ends, w, b = _band_inputs(2, C, Co, T, edges)
+        got = t.band_map_conv(starts, ends, edges, w, b, dilation).data
+        want = _dense_band_map_conv(starts, ends, edges, w, b, dilation).data
+        assert got.shape == want.shape == (2, Co, T, T)
+        assert np.abs(got - want).max() <= 1e-12
+        # the lower triangle is not zero: taps reach across the diagonal
+        assert np.abs(got[:, :, 1, 0] - b.data).max() > 0
+
+    @pytest.mark.parametrize("T,edges,dilation", [(8, [0, 3, 8], 2), (16, [0, 5, 11, 16], 7)])
+    def test_adjoint_matches_dense_adjoint(self, T, edges, dilation):
+        starts, ends, w, b = _band_inputs(2, 3, 4, T, edges, requires_grad=True)
+        leaves = [*starts, *ends, w, b]
+        probe = RNG.standard_normal((2, 4, T, T))
+        grads = []
+        for op in (t.band_map_conv, _dense_band_map_conv):
+            for x in leaves:
+                x.zero_grad()
+            t.tsum(t.mul(op(starts, ends, edges, w, b, dilation), probe)).backward()
+            grads.append([x.grad.copy() for x in leaves])
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("T,edges,dilation", [(6, [0, 2, 6], 2), (7, [0, 7], 4)])
+    def test_gradients(self, T, edges, dilation):
+        starts, ends, w, b = _band_inputs(2, 2, 3, T, edges, requires_grad=True)
+        nb = len(starts)
+        probe = RNG.standard_normal((2, 3, T, T))
+
+        def f(i):
+            out = t.band_map_conv(i[:nb], i[nb:2 * nb], edges, i[-2], i[-1], dilation)
+            return t.tsum(t.mul(t.square(out), probe))
+
+        assert gc(f, [*starts, *ends, w, b]) < 1e-4
+
+    def test_no_grad_builds_no_graph(self):
+        starts, ends, w, b = _band_inputs(1, 2, 2, 8, [0, 3, 8], requires_grad=True)
+        with t.no_grad():
+            out = t.band_map_conv(starts, ends, [0, 3, 8], w, b, 2)
+        assert not out.requires_grad and out._backward is None
+
+    def test_bad_inputs_rejected(self):
+        starts, ends, w, b = _band_inputs(1, 2, 2, 8, [0, 3, 8])
+        with pytest.raises(ValueError, match="band edges"):
+            t.band_map_conv(starts, ends, [0, 3, 7], w, b, 2)
+        with pytest.raises(ValueError, match="2 bands"):
+            t.band_map_conv(starts[:1], ends, [0, 3, 8], w, b, 2)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            t.band_map_conv(starts, ends, [0, 3, 8], t.Tensor(np.zeros((2, 3, 3, 3))), b, 2)
+        with pytest.raises(ValueError, match="dilation"):
+            t.band_map_conv(starts, ends, [0, 3, 8], w, b, 0)
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = t.Tensor([3.0], requires_grad=True)
