@@ -18,8 +18,6 @@ def _load_config(args):
         cfg.seed = args.seed
     out = args.out or os.environ.get("SMBG_OUT") or cfg.out_dir
     cfg.out_dir = out
-    if args.workers is not None:
-        cfg.workers = args.workers
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg
 
@@ -68,7 +66,7 @@ def cmd_eval(args):
     cfg = _load_config(args)
     proposals = postprocess.load_proposals(args.proposals)
     annotations = load_annotations(args.annotations or cfg.annotations_path)
-    report = pipeline.evaluate_proposals(proposals, annotations, workers=cfg.workers)
+    report = pipeline.evaluate_proposals(proposals, annotations)
     report_path = os.path.join(cfg.out_dir, "eval_report.json")
     evalkit.save_report(report_path, report)
     if args.curve_csv:
@@ -150,7 +148,6 @@ def main(argv=None):
     parser.add_argument("--config", help="run-config JSON path")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", help="output directory (or env SMBG_OUT)")
-    parser.add_argument("--workers", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("synth", help="generate a synthetic dataset")

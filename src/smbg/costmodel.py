@@ -186,20 +186,17 @@ def instrument_smbg_forward(net, x):
     """
     counter = MacCounter()
     c = net.config
-    C = c.band_channels
-    T = c.temporal_length
     h = relu_ref(conv1d_same_ref(x, net.base1.w.data, net.base1.b.data, counter, "base1"))
     f_b = relu_ref(conv1d_same_ref(h, net.base2.w.data, net.base2.b.data, counter, "base2"))
     hs = relu_ref(conv1d_same_ref(f_b, net.start1.w.data, net.start1.b.data, counter, "start1"))
     p_s = sigmoid_ref(conv1d_same_ref(hs, net.start2.w.data, net.start2.b.data, counter, "start2"))
     he = relu_ref(conv1d_same_ref(f_b, net.end1.w.data, net.end1.b.data, counter, "end1"))
     p_e = sigmoid_ref(conv1d_same_ref(he, net.end2.w.data, net.end2.b.data, counter, "end2"))
-    f_p = np.zeros((x.shape[0], 2 * C, T, T))
-    for i, (conv_s, conv_e, (ss, ee)) in enumerate(zip(net.band_starts, net.band_ends, net.cells)):
-        s_feat = conv1d_same_ref(f_b, conv_s.w.data, conv_s.b.data, counter, f"band{i}.start")
-        e_feat = conv1d_same_ref(f_b, conv_e.w.data, conv_e.b.data, counter, f"band{i}.end")
-        f_p[:, :C, ss, ee] += s_feat[:, :, ss]
-        f_p[:, C:, ss, ee] += e_feat[:, :, ee]
+    starts = [conv1d_same_ref(f_b, conv.w.data, conv.b.data, counter, f"band{i}.start")
+              for i, conv in enumerate(net.band_starts)]
+    ends = [conv1d_same_ref(f_b, conv.w.data, conv.b.data, counter, f"band{i}.end")
+            for i, conv in enumerate(net.band_ends)]
+    f_p = t.assemble_band_maps_raw(starts, ends, net.cells, c.temporal_length)
     g = relu_ref(conv2d_dilated_ref(f_p, net.sec_dil.w.data, net.sec_dil.b.data,
                                     c.dilation, counter, "sec_dil"))
     g = batchnorm_eval_ref(g, net.sec_bn1.gamma.data, net.sec_bn1.beta.data,

@@ -3,42 +3,50 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .labels import iou
 
 DEFAULT_THRESHOLDS = np.round(np.arange(0.5, 0.951, 0.05), 10)
 DEFAULT_AN_GRID = np.arange(1, 101)
 
 
-def _match_ranks(proposals, gts, tiou):
-    """Greedy one-to-one matching in rank order.
+def _iou_matrix(proposals, gts):
+    """[P, G] IoU of every proposal (t0, t1, score) with every ground truth.
 
-    For each ground-truth instance, the 1-based rank of the proposal that
-    claims it (IoU >= tiou, best unmatched instance first), or 0 for
-    never matched. Truncating the list to the top AN proposals matches
-    exactly the instances with 0 < rank <= AN, because greedy decisions
-    only depend on earlier proposals.
+    Same float operations as labels.iou, so every entry equals it exactly.
     """
-    ranks = np.zeros(len(gts), dtype=int)
-    if not proposals or not gts:
-        return ranks
-    taken = np.zeros(len(gts), dtype=bool)
-    for rank, (t0, t1, _) in enumerate(proposals, start=1):
-        best_j, best_v = -1, -1.0
-        for j, g in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou((t0, t1), g)
-            if v >= tiou and v > best_v:
-                best_j, best_v = j, v
-        if best_j >= 0:
-            taken[best_j] = True
-            ranks[best_j] = rank
-        if taken.all():
+    p = np.array([(t0, t1) for t0, t1, _ in proposals], dtype=float).reshape(-1, 1, 2)
+    g = np.array(gts, dtype=float).reshape(1, -1, 2)
+    inter = np.maximum(0.0, np.minimum(p[..., 1], g[..., 1]) - np.maximum(p[..., 0], g[..., 0]))
+    union = np.maximum(p[..., 1], g[..., 1]) - np.minimum(p[..., 0], g[..., 0])
+    positive = union > 0
+    return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
+
+
+def _match_ranks(ious, tiou):
+    """Greedy one-to-one matching in rank order over a [P, G] IoU matrix.
+
+    Row r is the proposal of rank r + 1. For each ground-truth instance,
+    the 1-based rank of the proposal that claims it (IoU >= tiou, best
+    unmatched instance first, the first one on ties), or 0 for never
+    matched. Truncating the list to the top AN proposals matches exactly
+    the instances with 0 < rank <= AN, because greedy decisions only
+    depend on earlier proposals.
+    """
+    ranks = np.zeros(ious.shape[1], dtype=int)
+    hit = ious >= tiou
+    taken = np.zeros(ious.shape[1], dtype=bool)
+    left = ious.shape[1]
+    for r in np.flatnonzero(hit.any(axis=1)):
+        free = hit[r] & ~taken
+        if not free.any():
+            continue
+        j = int(np.argmax(np.where(free, ious[r], -np.inf)))
+        taken[j] = True
+        ranks[j] = r + 1
+        left -= 1
+        if not left:
             break
     return ranks
 
@@ -54,7 +62,7 @@ def recall_at(proposals_by_video, gts_by_video, an, tiou):
         if not gts:
             continue
         props = _sorted_proposals(proposals_by_video.get(vid, []))[: int(an)]
-        ranks = _match_ranks(props, gts, tiou)
+        ranks = _match_ranks(_iou_matrix(props, gts), tiou)
         hit += int((ranks > 0).sum())
         total += len(gts)
     return hit / total if total else 0.0
@@ -87,37 +95,26 @@ class EvalReport:
 
 
 def evaluate(proposals_by_video, gts_by_video, an_grid=DEFAULT_AN_GRID,
-             thresholds=DEFAULT_THRESHOLDS, workers=1):
+             thresholds=DEFAULT_THRESHOLDS):
     """Full AR-vs-AN sweep and its area.
 
-    Match ranks are computed once per (video, threshold); every AN cutoff
-    is then a thresholded count, which keeps the sweep linear. AUC is the
-    trapezoidal integral of AR(AN) over the AN grid, normalized by the
+    Each video's proposals are sorted and scored against its ground truth
+    once; match ranks are then computed per (video, threshold), and every
+    AN cutoff is a thresholded count, which keeps the sweep linear. AUC is
+    the trapezoidal integral of AR(AN) over the AN grid, normalized by the
     grid span, in percent.
     """
     an_grid = np.asarray(list(an_grid), dtype=int)
     thresholds = list(thresholds)
-    videos = [(vid, gts) for vid, gts in gts_by_video.items() if gts]
-    total = sum(len(gts) for _, gts in videos)
-
-    def ranks_for(args):
-        vid, gts, tiou = args
-        props = _sorted_proposals(proposals_by_video.get(vid, []))
-        return _match_ranks(props, gts, tiou)
-
-    jobs = [(vid, gts, th) for th in thresholds for vid, gts in videos]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_ranks = list(pool.map(ranks_for, jobs))
-    else:
-        all_ranks = [ranks_for(j) for j in jobs]
+    ious = [_iou_matrix(_sorted_proposals(proposals_by_video.get(vid, [])), gts)
+            for vid, gts in gts_by_video.items() if gts]
+    total = sum(m.shape[1] for m in ious)
 
     recall_table = {}
     per_threshold = []
-    i = 0
     for th in thresholds:
-        ranks = np.concatenate(all_ranks[i:i + len(videos)]) if videos else np.zeros(0, int)
-        i += len(videos)
+        ranks = (np.concatenate([_match_ranks(m, th) for m in ious]) if ious
+                 else np.zeros(0, int))
         hits = np.array([((ranks > 0) & (ranks <= an)).sum() for an in an_grid])
         rec = hits / total if total else np.zeros(len(an_grid))
         recall_table[float(th)] = rec.tolist()

@@ -92,8 +92,22 @@ def build_masks(T, spec):
 
 
 def band_cells(masks):
-    """(start_indices, end_indices) arrays of each band's active cells."""
-    return [tuple(np.nonzero(m)) for m in masks]
+    """Each band's active cells as row runs (s, e0, e1): cells (s, e), e0 <= e < e1.
+
+    This is the cell form tensor.assemble_band_maps takes. A duration band
+    is one run per row, s + edges[i] <= e < s + edges[i+1] clipped to T.
+    """
+    out = []
+    for m in masks:
+        rows, cols = np.nonzero(m)
+        # a run opens at the first cell and wherever the row changes or a column is skipped
+        opens = np.ones(cols.size, dtype=bool)
+        opens[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1] + 1)
+        closes = np.ones_like(opens)
+        closes[:-1] = opens[1:]
+        out.append(tuple(zip(rows[opens].tolist(), cols[opens].tolist(),
+                             (cols[closes] + 1).tolist())))
+    return out
 
 
 def drop_mask_mode(d, where):
@@ -401,8 +415,7 @@ class BmnPfgReference:
         c = self.config
         outs = []
         for b in range(B):
-            samp = np.matmul(x[b], self.sampling_mask)          # [N, S*T*T]
-            samp = samp.reshape(N, c.sample_count, T * T)
+            samp = self.sample(x[b:b + 1])                      # [1, N, S, T, T]
             h = self.w3d @ samp.reshape(N * c.sample_count, T * T)
             h = np.maximum(h, 0.0).reshape(1, c.hidden_3d, T, T)
             h = np.maximum(t.conv2d_dilated_raw(h, self.w1, None, 1), 0.0)
@@ -416,18 +429,13 @@ def mpfg_block_forward(net, x):
     """Raw-numpy forward of just the band layer (benchmark counterpart).
 
     Same arithmetic as SmbgNet.mpfg_forward minus graph bookkeeping; x is
-    the base feature map f_b as a plain [B,N,T] array. A duration band
-    covers the cells (s, e) with e - s in [lo, hi), which in row s is the
-    contiguous run e in [s+lo, s+hi): the start features there are the
-    constant column S[:, :, s] and the end features the slice E[:, :, e].
-    So the masked assembly reduces to contiguous row writes.
+    the base feature map f_b as a plain [B,N,T] array. Each band's start
+    and end convs run as one stacked matmul over the shared im2col; the
+    map is written by tensor.assemble_band_maps_raw.
     """
     C = net.config.band_channels
-    T = net.config.temporal_length
-    B = x.shape[0]
-    edges = net.config.band_spec.edges
-    out = np.zeros((B, 2 * C, T, T))
-    for i, (conv_s, conv_e) in enumerate(zip(net.band_starts, net.band_ends)):
+    starts, ends = [], []
+    for conv_s, conv_e in zip(net.band_starts, net.band_ends):
         k = conv_s.w.data.shape[2]
         col = t._im2col1d(x, k)
         w_cat = np.concatenate([conv_s.w.data.reshape(C, -1),
@@ -435,12 +443,9 @@ def mpfg_block_forward(net, x):
         feat = np.matmul(w_cat, col)
         feat[:, :C] += conv_s.b.data[:, None]
         feat[:, C:] += conv_e.b.data[:, None]
-        lo, hi = edges[i], edges[i + 1]
-        for s in range(T - lo):
-            e0, e1 = s + lo, min(s + hi, T)
-            out[:, :C, s, e0:e1] = feat[:, :C, s, None]
-            out[:, C:, s, e0:e1] = feat[:, C:, e0:e1]
-    return out
+        starts.append(feat[:, :C])
+        ends.append(feat[:, C:])
+    return t.assemble_band_maps_raw(starts, ends, net.cells, net.config.temporal_length)
 
 
 # -- checkpoint container ----------------------------------------------
@@ -487,20 +492,23 @@ def save_checkpoint(path, net, extra_header=None, optimizer=None):
     save_arrays(path, header, arrays)
 
 
-def load_checkpoint(path, optimizer=None):
-    """Rebuild a SmbgNet (and optionally optimizer state) from a container."""
-    header, arrays = load_arrays(path)
-    config = ModelConfig(**drop_mask_mode(header["model_config"], f"checkpoint {path}"))
+def net_from_arrays(header, arrays, where):
+    """Rebuild a SmbgNet from a checkpoint's header and arrays."""
+    config = ModelConfig(**drop_mask_mode(header["model_config"], where))
     net = SmbgNet(config, seed=0)
     for name, p in net.named_parameters():
         if name not in arrays:
-            raise ValueError(f"checkpoint {path} is missing parameter {name!r}")
+            raise ValueError(f"{where} is missing parameter {name!r}")
         if arrays[name].shape != p.data.shape:
             raise ValueError(f"checkpoint shape mismatch for {name!r}: "
                              f"file {arrays[name].shape} vs model {p.data.shape}")
         p.data[...] = arrays[name]
     for name, buf in net.named_buffers():
         buf[...] = arrays[name]
-    if optimizer is not None:
-        optimizer.load_state_arrays(arrays)
-    return net, header
+    return net
+
+
+def load_checkpoint(path):
+    """Rebuild a SmbgNet from a container; returns (net, header)."""
+    header, arrays = load_arrays(path)
+    return net_from_arrays(header, arrays, f"checkpoint {path}"), header

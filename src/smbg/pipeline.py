@@ -22,7 +22,8 @@ from . import evalkit, losses, postprocess, tensor as t
 from .labels import (MAP_LABEL_MODES, ActionInstance, TemporalGrid, build_label_set,
                      load_annotations, save_annotations)
 from .net import (BandSpec, ModelConfig, SmbgNet, default_band_spec, drop_mask_mode,
-                  load_arrays, load_checkpoint, save_arrays, save_checkpoint)
+                  load_arrays, load_checkpoint, net_from_arrays, save_arrays,
+                  save_checkpoint)
 
 
 @dataclass
@@ -88,7 +89,6 @@ class RunConfig:
     annotations_path: str = ""
     checkpoint_dir: str = "checkpoints"
     out_dir: str = "out"
-    workers: int = 1
     synthetic: dict = None
 
     def __post_init__(self):
@@ -134,7 +134,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d, where="run config"):
-        return cls(**drop_mask_mode(d, where))
+        d = drop_mask_mode(d, where)
+        # retired field, still present in older run_config.json files
+        d.pop("workers", None)
+        return cls(**d)
 
     def save(self, path):
         with open(path, "w") as f:
@@ -391,9 +394,9 @@ def train(config, dataset, resume=None):
         net = SmbgNet(config.model_config(), seed=config.seed)
         opt = t.AdamState(net.parameters(), lr=config.learning_rate)
     else:
-        net, header = load_checkpoint(resume)
+        header, arrays = load_arrays(resume)
+        net = net_from_arrays(header, arrays, f"checkpoint {resume}")
         opt = t.AdamState(net.parameters(), lr=config.learning_rate)
-        _, arrays = load_arrays(resume)
         opt.load_state_arrays(arrays)
         start_epoch = int(header["epoch"])
         global_step = int(header["global_step"])
@@ -513,7 +516,7 @@ def infer(config, checkpoint_path, dataset, out_path=None):
     return proposals
 
 
-def evaluate_proposals(proposals, annotations, workers=1, an_grid=None, thresholds=None):
+def evaluate_proposals(proposals, annotations, an_grid=None, thresholds=None):
     gts = {vid: [(i.t_start, i.t_end) for i in entry["instances"]]
            for vid, entry in annotations.items()}
     flat = {vid: [(p.t_start, p.t_end, p.score) for p in props] if props and
@@ -522,8 +525,7 @@ def evaluate_proposals(proposals, annotations, workers=1, an_grid=None, threshol
     return evalkit.evaluate(flat, gts,
                             an_grid=an_grid if an_grid is not None else evalkit.DEFAULT_AN_GRID,
                             thresholds=thresholds if thresholds is not None
-                            else evalkit.DEFAULT_THRESHOLDS,
-                            workers=workers)
+                            else evalkit.DEFAULT_THRESHOLDS)
 
 
 # -- noise probe -------------------------------------------------------------
@@ -635,7 +637,7 @@ def sweep(config, axis, values, train_dataset, eval_dataset, eval_annotations,
         cfg.checkpoint_dir = os.path.join(config.checkpoint_dir, f"sweep_{axis}_{vi}")
         result = train(cfg, train_dataset)
         props = infer(cfg, result.checkpoints[-1], eval_dataset)
-        report = evaluate_proposals(props, eval_annotations, workers=cfg.workers)
+        report = evaluate_proposals(props, eval_annotations)
         rows.append({
             "axis": axis, "value": label,
             "ar_at_5": report.ar_at_an[5], "ar_at_10": report.ar_at_an[10],
@@ -673,7 +675,7 @@ def run_pipeline(config, out_dir, n_train=200, n_eval=50):
     result = train(cfg, train_ds)
     proposals_path = os.path.join(out_dir, "proposals.json")
     props = infer(cfg, result.checkpoints[-1], eval_ds, proposals_path)
-    report = evaluate_proposals(props, eval_ann, workers=cfg.workers)
+    report = evaluate_proposals(props, eval_ann)
     report_path = os.path.join(out_dir, "eval_report.json")
     evalkit.save_report(report_path, report)
     cfg.save(os.path.join(out_dir, "run_config.json"))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -92,8 +91,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a private copy, never an alias: later gradients are added in place
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def backward(self):
         """Reverse-mode sweep seeded from this scalar."""
@@ -147,51 +149,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-
-@dataclass
-class RecordEntry:
-    op: str
-    input_ids: tuple
-    output_id: int
-    saves_intermediates: bool  # op retained forward state for its adjoint
-
-
-@dataclass
-class ComputationRecord:
-    """Topologically ordered trace of the graph below one tensor."""
-
-    entries: list = field(default_factory=list)
-
-    def is_topologically_ordered(self):
-        produced = set()
-        for e in self.entries:
-            if any(i in (x.output_id for x in self.entries) and i not in produced
-                   for i in e.input_ids):
-                return False
-            produced.add(e.output_id)
-        return True
-
-
-def computation_record(root):
-    """Extract the ordered (op, input ids, output id) trace ending at root."""
-    topo, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return ComputationRecord(
-        [RecordEntry(n.op, tuple(p.id for p in n._parents), n.id, n._backward is not None)
-         for n in topo]
-    )
 
 
 def _as_tensor(x):
@@ -346,18 +303,22 @@ def reshape(a, shape):
 
 
 def take_cells(a, index):
-    """Gather a[index] where index is a tuple of integer arrays.
+    """Gather a[index] where index holds one integer array per axis of a.
 
-    Backward scatter-adds, so repeated cells accumulate correctly.
+    Backward sums the gradients of each cell in index order, so repeated
+    cells accumulate correctly.
     """
     a = _as_tensor(a)
     index = tuple(np.asarray(i) for i in index)
+    if len(index) != a.data.ndim:
+        raise ValueError(f"take_cells needs one index array per axis ({a.data.ndim}), "
+                         f"got {len(index)}")
 
     def backward(g):
         if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, index, g)
-            a._accumulate(acc)
+            flat = np.ravel_multi_index(index, a.data.shape)
+            acc = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=a.data.size)
+            a._accumulate(acc.reshape(a.data.shape))
 
     return _make(a.data[index], (a,), backward, "take_cells")
 
@@ -542,35 +503,50 @@ def repeat_to_map(vec, axis):
     return _make(out_data, (vec,), backward, "repeat_to_map")
 
 
-def assemble_band_maps(starts, ends, band_cells, T):
-    """Masked band assembly of the proposal feature map.
+def assemble_band_maps_raw(starts, ends, band_cells, T):
+    """The [B, 2C, T, T] proposal feature map from raw per-band [B, C, T] arrays.
 
-    starts/ends: per-band [B,C,T] tensors. band_cells: per-band (ss, ee)
-    integer arrays listing that band's valid (start, end) cells. Cell
-    (s, e) of the output takes the band's start features at position s in
-    channels [0, C) and its end features at position e in channels
-    [C, 2C). Cells owned by no band (everything below the diagonal)
-    stay exactly zero; cells claimed by several bands accumulate.
+    band_cells: per band, its cells as row runs (s, e0, e1), meaning cells
+    (s, e) for e in [e0, e1) (see net.band_cells). Such a run takes the
+    constant start column starts[:, :, s] in channels [0, C) and the end
+    slice ends[:, :, e0:e1] in channels [C, 2C), so the assembly is two
+    contiguous row writes per run. Bands own disjoint cells; cells owned
+    by no band (everything below the diagonal) stay exactly zero.
+    """
+    B, C, _ = starts[0].shape
+    out = np.zeros((B, 2 * C, T, T))
+    for start, end, runs in zip(starts, ends, band_cells):
+        for s, e0, e1 in runs:
+            out[:, :C, s, e0:e1] = start[:, :, s, None]
+            out[:, C:, s, e0:e1] = end[:, :, e0:e1]
+    return out
+
+
+def assemble_band_maps(starts, ends, band_cells, T):
+    """Masked band assembly of the proposal feature map (graph op).
+
+    starts/ends: per-band [B,C,T] tensors; band_cells as in
+    assemble_band_maps_raw. The adjoint reads the same runs: a start
+    column collects its run's gradient summed over e, an end slice adds
+    the run's gradient slice.
     """
     starts = [_as_tensor(s) for s in starts]
     ends = [_as_tensor(e) for e in ends]
-    B, C, Tv = starts[0].data.shape
-    out_data = np.zeros((B, 2 * C, T, T))
-    for s_t, e_t, (ss, ee) in zip(starts, ends, band_cells):
-        out_data[:, :C, ss, ee] += s_t.data[:, :, ss]
-        out_data[:, C:, ss, ee] += e_t.data[:, :, ee]
+    C = starts[0].data.shape[1]
+    out_data = assemble_band_maps_raw([x.data for x in starts], [x.data for x in ends],
+                                      band_cells, T)
 
     def backward(g):
-        for s_t, e_t, (ss, ee) in zip(starts, ends, band_cells):
+        for s_t, e_t, runs in zip(starts, ends, band_cells):
+            gs = np.zeros_like(s_t.data)
+            ge = np.zeros_like(e_t.data)
+            for s, e0, e1 in runs:
+                gs[:, :, s] += g[:, :C, s, e0:e1].sum(axis=-1)
+                ge[:, :, e0:e1] += g[:, C:, s, e0:e1]
             if s_t.requires_grad:
-                acc = np.zeros_like(s_t.data)
-                # group cell gradients back onto their start positions
-                np.add.at(acc.transpose(2, 0, 1), ss, g[:, :C, ss, ee].transpose(2, 0, 1))
-                s_t._accumulate(acc)
+                s_t._accumulate(gs)
             if e_t.requires_grad:
-                acc = np.zeros_like(e_t.data)
-                np.add.at(acc.transpose(2, 0, 1), ee, g[:, C:, ss, ee].transpose(2, 0, 1))
-                e_t._accumulate(acc)
+                e_t._accumulate(ge)
 
     return _make(out_data, (*starts, *ends), backward, "assemble_band_maps")
 

@@ -5,7 +5,8 @@ import pytest
 
 from smbg import costmodel as cm
 from smbg import tensor as t
-from smbg.net import BandSpec, BmnConfig, BmnPfgReference, ModelConfig, SmbgNet
+from smbg.net import (BandSpec, BmnConfig, BmnPfgReference, ModelConfig, SmbgNet,
+                      mpfg_block_forward)
 
 RNG = t.init_rng(41)
 
@@ -109,6 +110,25 @@ class TestInstrumentation:
             fast = net.forward(t.Tensor(x), train=False)
         for key in ("P_s", "P_e", "P_c", "P_r"):
             np.testing.assert_allclose(ref_out[key], fast[key].data, atol=1e-12)
+
+    def test_instrumented_map_equals_block_and_graph_maps(self):
+        # integer weights and inputs keep every sum exact, so the three
+        # callers of the band scatter must agree bit for bit
+        cfg = ModelConfig(in_channels=2, temporal_length=12, base_hidden=3, base_channels=2,
+                          band_channels=3, boundary_hidden=1, sec_hidden=3, dilation=2,
+                          band_spec=BandSpec([0, 2, 5, 12], [3, 5, 7]))
+        net = SmbgNet(cfg, seed=3)
+        rng = np.random.default_rng(3)
+        for _, p in net.named_parameters():
+            p.data[...] = rng.integers(-2, 3, p.data.shape)
+        x = rng.integers(-3, 4, (2, 2, 12)).astype(float)
+        ref_out, _ = cm.instrument_smbg_forward(net, x)
+        f_b = net.base_module(t.Tensor(x)).data
+        np.testing.assert_array_equal(ref_out["f_b"], f_b)
+        block = mpfg_block_forward(net, f_b)
+        graph = net.mpfg_forward(t.Tensor(f_b)).data
+        assert np.array_equal(ref_out["f_p"], block) and np.array_equal(block, graph)
+        assert np.count_nonzero(np.triu(graph[0, 0], 5)) > 0  # the last band is populated
 
     @pytest.mark.parametrize("T", [8, 16])
     def test_bmn_counter_equals_formulas(self, T):

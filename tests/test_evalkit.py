@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smbg import evalkit
+from smbg.labels import iou
 
 
 def perfect_setup():
@@ -11,6 +13,65 @@ def perfect_setup():
     gts = {"a": [(2.0, 5.0)], "b": [(1.0, 4.0)], "c": [(8.0, 12.0)]}
     props = {vid: [(s, e, 1.0) for s, e in instances] for vid, instances in gts.items()}
     return props, gts
+
+
+def scalar_match_ranks(proposals, gts, tiou):
+    """Scalar greedy matcher: the oracle for evalkit's IoU-matrix matcher.
+
+    proposals in rank order; for each ground truth the 1-based rank of the
+    proposal that claims it (best unmatched IoU >= tiou, first on ties),
+    or 0.
+    """
+    ranks = np.zeros(len(gts), dtype=int)
+    if not proposals or not gts:
+        return ranks
+    taken = np.zeros(len(gts), dtype=bool)
+    for rank, (t0, t1, _) in enumerate(proposals, start=1):
+        best_j, best_v = -1, -1.0
+        for j, g in enumerate(gts):
+            if taken[j]:
+                continue
+            v = iou((t0, t1), g)
+            if v >= tiou and v > best_v:
+                best_j, best_v = j, v
+        if best_j >= 0:
+            taken[best_j] = True
+            ranks[best_j] = rank
+        if taken.all():
+            break
+    return ranks
+
+
+# coarse grids make tied scores, duplicate intervals and exact-threshold IoUs common
+_times = st.integers(0, 12).map(lambda i: i * 0.5)
+_interval = st.tuples(_times, st.integers(1, 8).map(lambda d: d * 0.5)).map(
+    lambda p: (p[0], p[0] + p[1]))
+_proposal = st.tuples(_interval, st.sampled_from([0.1, 0.5, 0.5, 0.9, 1.0])).map(
+    lambda p: (p[0][0], p[0][1], p[1]))
+
+
+class TestMatcher:
+    @settings(max_examples=200, deadline=None)
+    @given(gts=st.lists(_interval, min_size=0, max_size=6),
+           props=st.lists(_proposal, min_size=0, max_size=25),
+           dup=st.integers(0, 4))
+    def test_ranks_equal_scalar_oracle(self, gts, props, dup):
+        props = props + props[:dup]  # exact duplicates: same interval, same score
+        ranked = evalkit._sorted_proposals(props)
+        ious = evalkit._iou_matrix(ranked, gts)
+        assert ious.shape == (len(props), len(gts))
+        for tiou in evalkit.DEFAULT_THRESHOLDS:
+            np.testing.assert_array_equal(evalkit._match_ranks(ious, tiou),
+                                          scalar_match_ranks(ranked, gts, tiou))
+
+    def test_iou_matrix_equals_labels_iou(self):
+        rng = np.random.default_rng(2)
+        props = [(float(a), float(a + b), 1.0) for a, b in
+                 zip(rng.uniform(0, 20, 30), rng.uniform(0.5, 8, 30))]
+        gts = [(2.0, 6.0), (2.0, 6.0), (11.5, 19.0)]
+        got = evalkit._iou_matrix(props, gts)
+        want = [[iou((p0, p1), g) for g in gts] for p0, p1, _ in props]
+        assert np.array_equal(got, np.array(want))
 
 
 class TestRecallAt:
@@ -126,12 +187,6 @@ class TestAuc:
         report = evalkit.evaluate(props, gts)
         vals = [report.ar_at_an[an] for an in report.an_grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_workers_do_not_change_result(self):
-        props, gts = perfect_setup()
-        a = evalkit.evaluate(props, gts, workers=1)
-        b = evalkit.evaluate(props, gts, workers=4)
-        assert a.auc == b.auc and a.recall_table == b.recall_table
 
 
 class TestReportIO:

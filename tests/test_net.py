@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from smbg import tensor as t
 from smbg.net import (BandSpec, BmnConfig, BmnPfgReference, ModelConfig, SmbgNet,
-                      build_masks, default_band_spec, load_checkpoint,
+                      band_cells, build_masks, default_band_spec, load_checkpoint,
                       mpfg_block_forward, mpfg_naive_oracle, save_arrays, save_checkpoint)
 
 RNG = t.init_rng(77)
@@ -66,6 +66,22 @@ class TestMasks:
         masks = build_masks(20, BandSpec([0, 5, 11, 20], [3, 3, 3]))
         total = np.sum(masks, axis=0)
         np.testing.assert_array_equal(total, np.triu(np.ones((20, 20))))
+
+    def test_band_cells_are_row_runs(self):
+        cells = band_cells(build_masks(5, BandSpec([0, 2, 5], [3, 3])))
+        assert cells[0] == ((0, 0, 2), (1, 1, 3), (2, 2, 4), (3, 3, 5), (4, 4, 5))
+        assert cells[1] == ((0, 2, 5), (1, 3, 5), (2, 4, 5))
+
+    def test_band_cells_cover_exactly_the_mask(self):
+        mask = np.zeros((4, 6))
+        mask[0, [0, 1, 3, 5]] = 1  # three runs in one row
+        mask[2, 2:6] = 1
+        (runs,) = band_cells([mask])
+        assert runs == ((0, 0, 2), (0, 3, 4), (0, 5, 6), (2, 2, 6))
+        rebuilt = np.zeros_like(mask)
+        for s, e0, e1 in runs:
+            rebuilt[s, e0:e1] = 1
+        np.testing.assert_array_equal(rebuilt, mask)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(5, 40), st.data())

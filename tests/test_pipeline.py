@@ -199,6 +199,12 @@ class TestRunConfig:
         path.write_text(json.dumps(dict(cfg.to_dict(), mask_mode="duration")))
         assert pl.RunConfig.load(str(path)).to_dict() == cfg.to_dict()
 
+    def test_retired_workers_field_in_config_file_dropped(self, tmp_path):
+        cfg = tiny_run_config(tmp_path)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(dict(cfg.to_dict(), workers=4)))
+        assert pl.RunConfig.load(str(path)).to_dict() == cfg.to_dict()
+
     def test_literal_mask_mode_in_config_file_rejected(self, tmp_path):
         cfg = tiny_run_config(tmp_path)
         path = tmp_path / "literal.json"
