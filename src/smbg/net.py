@@ -20,6 +20,7 @@ cost model and benchmarks.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -454,31 +455,59 @@ _MAGIC = b"SMBG\x01"
 
 
 def save_arrays(path, header, arrays):
-    """One-file binary container: JSON header + float64 LE arrays in order."""
+    """One-file binary container: JSON header + float64 LE arrays in order.
+
+    Written to `path`.tmp and moved over `path` with os.replace, so an
+    interrupted write never leaves a partial file under `path`.
+    """
     manifest = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
     head = json.dumps({"header": header, "arrays": manifest}, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(head)))
-        f.write(head)
-        for _, a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<I", len(head)))
+            f.write(head)
+            for _, a in arrays:
+                f.write(np.ascontiguousarray(a, dtype="<f8"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _read_exact(f, n, path, what):
+    buf = f.read(n)
+    if len(buf) != n:
+        raise ValueError(f"{path}: truncated in {what} "
+                         f"(expected {n} bytes, got {len(buf)})")
+    return buf
 
 
 def load_arrays(path):
+    """(header, {name: array}) from a container; a truncated file, trailing
+    bytes or a malformed header raise ValueError naming the file."""
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint container (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        meta = json.loads(f.read(hlen).decode())
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
+        try:
+            meta = json.loads(_read_exact(f, hlen, path, "header").decode())
+            manifest = [(e["name"], tuple(e["shape"])) for e in meta["arrays"]]
+            header = meta["header"]
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}: malformed container header ({e})") from None
         out = {}
-        for entry in meta["arrays"]:
-            shape = tuple(entry["shape"])
+        for name, shape in manifest:
             n = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n)
-            out[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return meta["header"], out
+            buf = _read_exact(f, 8 * n, path, f"array {name!r}")
+            out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        extra = os.fstat(f.fileno()).st_size - f.tell()
+        if extra:
+            last = f"after array {manifest[-1][0]!r}" if manifest else "after the header"
+            raise ValueError(f"{path}: {extra} trailing bytes {last}")
+    return header, out
 
 
 def save_checkpoint(path, net, extra_header=None, optimizer=None):
@@ -496,15 +525,15 @@ def net_from_arrays(header, arrays, where):
     """Rebuild a SmbgNet from a checkpoint's header and arrays."""
     config = ModelConfig(**drop_mask_mode(header["model_config"], where))
     net = SmbgNet(config, seed=0)
-    for name, p in net.named_parameters():
+    targets = [("parameter", n, p.data) for n, p in net.named_parameters()]
+    targets += [("buffer", n, b) for n, b in net.named_buffers()]
+    for kind, name, dst in targets:
         if name not in arrays:
-            raise ValueError(f"{where} is missing parameter {name!r}")
-        if arrays[name].shape != p.data.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name!r}: "
-                             f"file {arrays[name].shape} vs model {p.data.shape}")
-        p.data[...] = arrays[name]
-    for name, buf in net.named_buffers():
-        buf[...] = arrays[name]
+            raise ValueError(f"{where} is missing {kind} {name!r}")
+        if arrays[name].shape != dst.shape:
+            raise ValueError(f"{where}: shape mismatch for {kind} {name!r}: "
+                             f"file {arrays[name].shape} vs model {dst.shape}")
+        dst[...] = arrays[name]
     return net
 
 

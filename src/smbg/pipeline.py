@@ -102,6 +102,11 @@ class RunConfig:
                              f"got {self.map_label_mode!r}")
         if self.band_spec is None:
             self.band_spec = asdict(default_band_spec(self.model_temporal_length))
+        try:
+            BandSpec(**self.band_spec).validate(self.model_temporal_length)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"RunConfig.band_spec {self.band_spec!r} does not fit "
+                             f"T={self.model_temporal_length}: {e}") from None
 
     @property
     def model_temporal_length(self):
@@ -377,6 +382,28 @@ class TrainResult:
     log_path: str
 
 
+def _log_lines_before(log_path, step):
+    """Lines of a loss log whose step is below `step`.
+
+    A run that crashed after its last checkpoint leaves lines for steps the
+    resumed run will write again; those, and a torn last line without its
+    newline, are dropped. A missing log reads as empty.
+    """
+    if not os.path.exists(log_path):
+        return []
+    with open(log_path) as f:
+        lines = [line for line in f if line.endswith("\n")]
+    kept = []
+    for li, line in enumerate(lines):
+        try:
+            line_step = json.loads(line)["step"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            raise ValueError(f"{log_path}: line {li + 1} is not a loss log entry") from None
+        if line_step < step:
+            kept.append(line)
+    return kept
+
+
 def train(config, dataset, resume=None):
     """Mini-batch Adam on the full objective; checkpoint per epoch.
 
@@ -397,7 +424,7 @@ def train(config, dataset, resume=None):
         header, arrays = load_arrays(resume)
         net = net_from_arrays(header, arrays, f"checkpoint {resume}")
         opt = t.AdamState(net.parameters(), lr=config.learning_rate)
-        opt.load_state_arrays(arrays)
+        opt.load_state_arrays(arrays, f"checkpoint {resume}")
         start_epoch = int(header["epoch"])
         global_step = int(header["global_step"])
 
@@ -410,8 +437,9 @@ def train(config, dataset, resume=None):
         checkpoints.append(init_path)
 
     epoch_means = []
-    mode = "w" if resume is None else "a"
-    with open(log_path, mode) as log:
+    kept_lines = [] if resume is None else _log_lines_before(log_path, global_step)
+    with open(log_path, "w") as log:
+        log.writelines(kept_lines)
         for epoch in range(start_epoch, config.epochs):
             order_seed = _step_seed(config.seed, 0xE70C + epoch)
             order = t.init_rng(order_seed).permutation(len(samples))
@@ -627,12 +655,11 @@ def sweep(config, axis, values, train_dataset, eval_dataset, eval_annotations,
         raise ValueError(f"unknown sweep axis {axis!r}")
     rows = []
     for vi, value in enumerate(values):
-        cfg = RunConfig.from_dict(config.to_dict())
         if axis == "r_d":
-            cfg.dilation = int(value)
+            cfg = RunConfig.from_dict(dict(config.to_dict(), dilation=int(value)))
             label = str(value)
         else:
-            cfg.band_spec = dict(value)
+            cfg = RunConfig.from_dict(dict(config.to_dict(), band_spec=dict(value)))
             label = "/".join(str(k) for k in value["kernel_sizes"])
         cfg.checkpoint_dir = os.path.join(config.checkpoint_dir, f"sweep_{axis}_{vi}")
         result = train(cfg, train_dataset)

@@ -103,19 +103,49 @@ def proposals_for_video(p_s, p_e, p_c, p_r, grid, sigma=SOFT_NMS_SIGMA,
 
 
 def merge_window_duplicates(t_starts, t_ends, scores, iou_threshold=0.95):
-    """Collapse near-identical intervals from overlapping windows, keeping max score."""
+    """Collapse near-identical intervals from overlapping windows, keeping max score.
+
+    Greedy in stable descending-score order: a candidate is dropped when
+    some already kept interval has IoU >= iou_threshold with it. Returns
+    the kept (t_starts, t_ends, scores) in that order.
+
+    Only kept intervals whose start lies near the candidate's are compared.
+    IoU >= thr > 0 needs an overlap, and then union - inter =
+    |d_start| + |d_end| while inter <= len, so |d_start| <= (1/thr - 1) * len
+    for the candidate's own length len. The IoU and the window bounds carry
+    relative rounding errors of a few ulp; the reach is widened far beyond
+    that (1e-9 of itself and of the endpoint magnitudes), so no pair whose
+    computed IoU reaches the threshold falls outside the window.
+    """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    t_starts = np.asarray(t_starts, dtype=np.float64)
+    t_ends = np.asarray(t_ends, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    keep_ts, keep_te, keep_sc = [], [], []
+    by_start = np.argsort(t_starts, kind="stable")
+    sorted_ts, sorted_te = t_starts[by_start], t_ends[by_start]
+    rank = np.empty_like(by_start)
+    rank[by_start] = np.arange(by_start.size)
+    width = np.maximum(t_ends - t_starts, 0.0)
+    with np.errstate(over="ignore"):
+        reach = (width / iou_threshold - width) * (1 + 1e-9)
+    reach += 1e-9 * (np.abs(t_starts) + np.abs(t_ends))
+    lo = np.searchsorted(sorted_ts, t_starts - reach, side="left")
+    hi = np.searchsorted(sorted_ts, t_starts + reach, side="right")
+    kept = np.zeros(by_start.size, dtype=bool)
+    keep = []
     for i in order:
-        if keep_ts:
+        near = np.flatnonzero(kept[lo[i]:hi[i]]) + lo[i]
+        if near.size:
             ious = interval_iou_one_vs_many(t_starts[i], t_ends[i],
-                                            np.array(keep_ts), np.array(keep_te))
+                                            sorted_ts[near], sorted_te[near])
             if ious.max() >= iou_threshold:
                 continue
-        keep_ts.append(t_starts[i])
-        keep_te.append(t_ends[i])
-        keep_sc.append(scores[i])
-    return np.array(keep_ts), np.array(keep_te), np.array(keep_sc)
+        kept[rank[i]] = True
+        keep.append(i)
+    keep = np.array(keep, dtype=np.intp)
+    return t_starts[keep], t_ends[keep], scores[keep]
 
 
 def save_proposals(path, proposals_by_video):

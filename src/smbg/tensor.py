@@ -800,7 +800,11 @@ class AdamState:
             out.append((f"adam_v{i}", v))
         return out
 
-    def load_state_arrays(self, arrays):
+    def load_state_arrays(self, arrays, where="optimizer state"):
+        """Inverse of state_arrays; a missing array raises ValueError naming `where`."""
+        for name, _ in self.state_arrays():
+            if name not in arrays:
+                raise ValueError(f"{where} is missing optimizer array {name!r}")
         self.step_count = int(arrays["adam_step"][0])
         for i in range(len(self.params)):
             self.m[i][...] = arrays[f"adam_m{i}"]

@@ -1,5 +1,7 @@
 """Network blocks: masks, band layer + oracle, heads, baseline, checkpoints."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,6 +331,51 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(str(path))
+
+    @staticmethod
+    def _saved(tmp_path, name="model.ckpt"):
+        path = str(tmp_path / name)
+        save_checkpoint(path, SmbgNet(tiny_config(), seed=15), {"epoch": 1})
+        return path
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        with open(path, "ab") as f:
+            f.write(b"\0" * 8)
+        with pytest.raises(ValueError, match=r"model\.ckpt: 8 trailing bytes after array "
+                                             r"'sec_bn3\.running_var'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep,what", [(7, "header length"), (40, "header"),
+                                           (-3, "array 'sec_bn3.running_var'")])
+    def test_truncated_file_names_the_part(self, tmp_path, keep, what):
+        path = self._saved(tmp_path)
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(data[:keep])
+        with pytest.raises(ValueError, match=rf"model\.ckpt: truncated in {what}"):
+            load_checkpoint(path)
+
+    def test_missing_buffer_named(self, tmp_path):
+        net = SmbgNet(tiny_config(), seed=14)
+        path = str(tmp_path / "nobuf.ckpt")
+        save_arrays(path, {"model_config": net.config.to_dict()},
+                    [(n, p.data) for n, p in net.named_parameters()])
+        with pytest.raises(ValueError, match=r"nobuf\.ckpt is missing buffer "
+                                             r"'sec_bn1\.running_mean'"):
+            load_checkpoint(path)
+
+    def test_interrupted_save_leaves_previous_file(self, tmp_path):
+        path = self._saved(tmp_path)
+        with open(path, "rb") as f:
+            before = f.read()
+        with pytest.raises(ValueError):
+            # the second array cannot become float64, so the write stops midway
+            save_arrays(path, {}, [("a", np.ones(4)), ("b", np.array(["x"]))])
+        with open(path, "rb") as f:
+            assert f.read() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_checkpoint_with_duration_mask_mode_loads(self, tmp_path):
         net = SmbgNet(tiny_config(), seed=14)

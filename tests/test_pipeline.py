@@ -212,6 +212,16 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="mask_mode 'literal'"):
             pl.RunConfig.load(str(path))
 
+    @pytest.mark.parametrize("kw", [
+        dict(temporal_length=24),                                  # edges end at 20
+        dict(window_mode=True, window_length=32),                  # model T is 32
+        dict(band_spec={"edges": [0, 6, 20], "kernel_sizes": [3, 4]}),
+        dict(band_spec={"edges": [0, 20]}),
+    ])
+    def test_band_spec_checked_at_config_time(self, tmp_path, kw):
+        with pytest.raises(ValueError, match=r"RunConfig\.band_spec"):
+            tiny_run_config(tmp_path, **kw)
+
     def test_model_temporal_length_tracks_mode(self, tmp_path):
         cfg = tiny_run_config(tmp_path, window_mode=True, window_length=32,
                               band_spec={"edges": [0, 8, 32], "kernel_sizes": [3, 5]})
@@ -259,6 +269,31 @@ class TestTraining:
         resumed = pl.train(resumed_cfg, train_ds, resume=half.checkpoints[-1])
         assert resumed.epoch_mean_loss == full.epoch_mean_loss[1:]
         assert self._checkpoint_arrays_equal(full.checkpoints[-1], resumed.checkpoints[-1])
+
+    def test_resume_drops_log_lines_past_checkpoint(self, tmp_path):
+        train_ds, *_ = tiny_datasets()
+        full = pl.train(tiny_run_config(tmp_path / "full", epochs=2), train_ds)
+        half = pl.train(tiny_run_config(tmp_path / "half", epochs=1), train_ds)
+        # a crash in epoch 2 left a line for the first step the resume repeats,
+        # and a torn line without its newline
+        with open(half.log_path, "a") as log:
+            log.write(json.dumps({"step": half.steps, "total": 0.0}) + "\n")
+            log.write('{"step": ')
+        pl.train(tiny_run_config(tmp_path / "half", epochs=2), train_ds,
+                 resume=half.checkpoints[-1])
+        with open(half.log_path, "rb") as a, open(full.log_path, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_resume_without_optimizer_state_named(self, tmp_path):
+        from smbg.net import SmbgNet, save_checkpoint
+        cfg = tiny_run_config(tmp_path)
+        path = str(tmp_path / "weights_only.ckpt")
+        save_checkpoint(path, SmbgNet(cfg.model_config(), seed=0),
+                        {"epoch": 0, "global_step": 0})
+        train_ds, *_ = tiny_datasets(n_train=4)
+        with pytest.raises(ValueError, match=r"weights_only\.ckpt is missing optimizer "
+                                             r"array 'adam_step'"):
+            pl.train(cfg, train_ds, resume=path)
 
     def test_zero_learning_rate_constant_loss_on_fixed_batch(self, tmp_path):
         from smbg import losses
@@ -338,6 +373,22 @@ class TestInference:
             dur = ds[vid]["duration_seconds"]
             for p in plist:
                 assert 0.0 <= p.t_start < p.t_end <= dur + 1e-9
+
+    def test_window_mode_long_video_from_init_checkpoint(self, tmp_path):
+        from smbg.net import SmbgNet, save_checkpoint
+        cfg = pl.RunConfig(window_mode=True, seed=0)
+        duration = 600
+        spec = pl.SyntheticSpec(num_videos=1, channels=cfg.in_channels, seed=5,
+                                duration_range=(duration, duration))
+        ds, _ = pl.synth_dataset(spec)
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
+        (plist,) = pl.infer(cfg, ckpt, ds).values()
+        assert 0 < len(plist) <= cfg.max_proposals
+        scores = [p.score for p in plist]
+        assert scores == sorted(scores, reverse=True)
+        for p in plist:
+            assert 0.0 <= p.t_start < p.t_end <= duration
 
     def test_non_finite_outputs_name_the_videos(self, tmp_path):
         cfg = tiny_run_config(tmp_path)

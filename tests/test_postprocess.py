@@ -143,6 +143,99 @@ class TestSoftNms:
         assert out.max(initial=0.0) <= sc.max() + 1e-15
 
 
+def greedy_merge_oracle(t_starts, t_ends, scores, iou_threshold=0.95):
+    """The all-pairs greedy merge: each candidate, in stable descending-score
+    order, is compared with every interval kept so far."""
+    order = np.argsort(-scores, kind="stable")
+    keep_ts, keep_te, keep_sc = [], [], []
+    for i in order:
+        if keep_ts:
+            ious = pp.interval_iou_one_vs_many(t_starts[i], t_ends[i],
+                                               np.array(keep_ts), np.array(keep_te))
+            if ious.max() >= iou_threshold:
+                continue
+        keep_ts.append(t_starts[i])
+        keep_te.append(t_ends[i])
+        keep_sc.append(scores[i])
+    return np.array(keep_ts), np.array(keep_te), np.array(keep_sc)
+
+
+def assert_merge_matches_oracle(ts, te, sc, thr):
+    got = pp.merge_window_duplicates(ts, te, sc, iou_threshold=thr)
+    want = greedy_merge_oracle(ts, te, sc, iou_threshold=thr)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def _shifted(x, ulps):
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return x
+
+
+@st.composite
+def _merge_candidates(draw):
+    """Coarse-grid intervals (exact duplicates, tied scores, zero lengths),
+    plus copies of some with the start moved to within a few ulp of where
+    their IoU with the original crosses 0.95."""
+    unit = draw(st.sampled_from([1.0, 0.25, 1 / 3, 600 / 577]))
+    offset = draw(st.sampled_from([0.0, 64.0, 1e4 + 0.1]))
+    grid = st.tuples(st.integers(0, 12), st.integers(0, 12))
+    cells = draw(st.lists(grid, max_size=25))
+    ts = [offset + s * unit for s, _ in cells]
+    te = [offset + (s + n) * unit for s, n in cells]
+    for j in draw(st.lists(st.integers(0, max(len(cells) - 1, 0)), max_size=6)
+                  if cells else st.just([])):
+        width = te[j] - ts[j]
+        ts.append(_shifted(ts[j] + 0.05 * width, draw(st.integers(-3, 3))))
+        te.append(te[j])
+    level = st.sampled_from([0.2, 0.5, 0.9])
+    scores = draw(st.lists(level | st.floats(0, 1), min_size=len(ts), max_size=len(ts)))
+    return (np.array(ts, dtype=np.float64), np.array(te, dtype=np.float64),
+            np.array(scores, dtype=np.float64))
+
+
+class TestMergeWindowDuplicates:
+    @settings(max_examples=400, deadline=None)
+    @given(_merge_candidates(),
+           st.sampled_from([0.95, 1.0]) | st.floats(0, 1, exclude_min=True))
+    def test_bit_identical_to_greedy_oracle(self, candidates, thr):
+        assert_merge_matches_oracle(*candidates, thr)
+
+    def test_empty_and_single(self):
+        empty = np.array([], dtype=np.float64)
+        assert_merge_matches_oracle(empty, empty, empty, 0.95)
+        assert_merge_matches_oracle(np.array([2.0]), np.array([3.0]), np.array([0.5]), 0.95)
+
+    def test_threshold_edge_pairs(self):
+        # against [0, 20], [1, 20] has IoU exactly 0.95; the third start makes
+        # the intersection one ulp short of 19, so its IoU is just below
+        below = 20.0 - _shifted(19.0, -1)
+        ts = np.array([0.0, 1.0, below])
+        te = np.full(3, 20.0)
+        sc = np.array([0.9, 0.5, 0.4])
+        kept = pp.merge_window_duplicates(ts, te, sc)[0]
+        np.testing.assert_array_equal(kept, [0.0, below])
+        assert_merge_matches_oracle(ts, te, sc, 0.95)
+
+    def test_overlapping_window_grid(self):
+        # candidates laid out as window-mode inference makes them: every cell
+        # of three half-overlapping 24-step windows on an irregular time step
+        L, dt = 24, 600 / 577
+        ss, ee = np.triu_indices(L)
+        ts = np.concatenate([(ss + o) * dt for o in (0, 12, 24)])
+        te = np.concatenate([(ee + 1 + o) * dt for o in (0, 12, 24)])
+        sc = RNG.uniform(0, 1, ts.size).round(2)
+        for thr in (0.5, 0.8, 0.95, 1.0):
+            assert_merge_matches_oracle(ts, te, sc, thr)
+
+    @pytest.mark.parametrize("thr", [0.0, -0.5, 1.0 + 1e-12, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, thr):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            pp.merge_window_duplicates(np.array([0.0]), np.array([1.0]), np.array([1.0]), thr)
+
+
 class TestProposalsIO:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "props.json")
