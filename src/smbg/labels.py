@@ -11,6 +11,7 @@ fused product hit exactly 1.0 on a grid-aligned instance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class TemporalGrid:
     duration: float
 
     def __post_init__(self):
-        if self.length < 1 or self.duration <= 0:
+        if self.length < 1 or not 0 < self.duration < math.inf:
             raise ValueError(f"bad grid (T={self.length}, duration={self.duration})")
 
     @property
@@ -132,16 +133,27 @@ def build_label_set(instances, grid, map_mode="iou"):
 # -- annotation JSON ----------------------------------------------------
 
 def load_annotations(path):
-    """{video_id: {"duration_seconds": float, "instances": [{start, end}]}}"""
+    """{video_id: {"duration_seconds": float, "instances": [{start, end}]}}
+
+    A missing field, a malformed value or a duration that is not a finite
+    number > 0 raises a ValueError naming the file and the video.
+    """
     with open(path) as f:
         raw = json.load(f)
     out = {}
     for vid, entry in raw.items():
-        out[vid] = {
-            "duration_seconds": float(entry["duration_seconds"]),
-            "instances": [ActionInstance(float(i["start"]), float(i["end"]))
-                          for i in entry["instances"]],
-        }
+        try:
+            duration = float(entry["duration_seconds"])
+            instances = [ActionInstance(float(i["start"]), float(i["end"]))
+                         for i in entry["instances"]]
+        except KeyError as e:
+            raise ValueError(f"{path}: video {vid!r} has no {e.args[0]!r} field") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: video {vid!r}: {e}") from None
+        if not 0 < duration < math.inf:
+            raise ValueError(f"{path}: video {vid!r} has duration_seconds {duration!r}; "
+                             f"a finite number > 0 is needed")
+        out[vid] = {"duration_seconds": duration, "instances": instances}
     return out
 
 

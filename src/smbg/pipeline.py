@@ -12,6 +12,7 @@ structural task (boundary localization in noisy sequences).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from dataclasses import dataclass, field, asdict
@@ -320,54 +321,60 @@ def read_dataset(features_dir, annotations_path):
         csv_path = os.path.join(features_dir, f"{vid}.csv")
         bin_path = os.path.join(features_dir, f"{vid}.bin")
         path = csv_path if os.path.exists(csv_path) else bin_path
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"no features for video {vid!r}: neither {csv_path} "
+                                    f"nor {bin_path} exists")
         dataset[vid] = {"features": load_features(path),
                         "duration_seconds": entry["duration_seconds"],
                         "instances": entry["instances"]}
     return dataset
 
 
+# -- views: one video as model inputs -----------------------------------------
+
+def _views(vid, video, config, T):
+    """One (x [C, T], TemporalGrid, offset_seconds, valid, local_instances) per model input.
+
+    Rescale mode resamples the video onto T cells: one view, offset 0, all
+    cells valid. Window mode gives one view per sliding window of T frames;
+    cells at or past `valid` are padding, and the instances are clipped to
+    the window and shifted to its start. Cell (s, e) of a view spans
+    offset_seconds + grid.cell_interval(s, e) of the video.
+    """
+    feats = video["features"]
+    t_raw = feats.shape[1]
+    if t_raw < 2:
+        raise ValueError(f"video {vid!r} has {t_raw} frame(s); at least 2 are needed")
+    duration = video["duration_seconds"]
+    if not config.window_mode:
+        return [(rescale_linear(feats, T), TemporalGrid(T, duration), 0.0, T,
+                 video["instances"])]
+    dt_raw = duration / t_raw
+    views = []
+    for chunk, offset, valid in sliding_windows(feats, T, config.window_overlap):
+        w_lo = offset * dt_raw
+        w_hi = (offset + T) * dt_raw
+        local = []
+        for inst in video["instances"]:
+            a = max(inst.t_start, w_lo)
+            b = min(inst.t_end, w_hi)
+            if b - a > dt_raw:  # ignore slivers shorter than one grid cell
+                local.append(ActionInstance(a - w_lo, b - w_lo))
+        views.append((chunk, TemporalGrid(T, T * dt_raw), w_lo, valid, local))
+    return views
+
+
 # -- training samples ------------------------------------------------------
 
-def _rescale_samples(dataset, config):
-    """One training sample per video: rescaled features plus labels."""
-    T = config.temporal_length
-    samples = []
-    for vid in sorted(dataset):
-        d = dataset[vid]
-        grid = TemporalGrid(T, d["duration_seconds"])
-        x = rescale_linear(d["features"], T)
-        g_s, g_e, g_c = build_label_set(d["instances"], grid, config.map_label_mode)
-        samples.append({"video": vid, "x": x, "g_s": g_s, "g_e": g_e, "g_c": g_c})
-    return samples
-
-
-def _window_samples(dataset, config):
-    """One training sample per sliding window, instances clipped per window."""
-    L = config.window_length
-    samples = []
-    for vid in sorted(dataset):
-        d = dataset[vid]
-        t_raw = d["features"].shape[1]
-        dt_raw = d["duration_seconds"] / t_raw
-        for chunk, offset, valid in sliding_windows(d["features"], L, config.window_overlap):
-            w_lo = offset * dt_raw
-            w_hi = (offset + L) * dt_raw
-            local = []
-            for inst in d["instances"]:
-                a = max(inst.t_start, w_lo)
-                b = min(inst.t_end, w_hi)
-                if b - a > dt_raw:  # ignore slivers shorter than one grid cell
-                    local.append(ActionInstance(a - w_lo, b - w_lo))
-            grid = TemporalGrid(L, L * dt_raw)
-            g_s, g_e, g_c = build_label_set(local, grid, config.map_label_mode)
-            samples.append({"video": vid, "x": chunk, "g_s": g_s, "g_e": g_e,
-                            "g_c": g_c, "offset": offset, "valid": valid})
-    return samples
-
-
 def build_samples(dataset, config):
-    return _window_samples(dataset, config) if config.window_mode \
-        else _rescale_samples(dataset, config)
+    """One training sample per view: model input plus its label set."""
+    samples = []
+    for vid in sorted(dataset):
+        for x, grid, _, _, local in _views(vid, dataset[vid], config,
+                                           config.model_temporal_length):
+            g_s, g_e, g_c = build_label_set(local, grid, config.map_label_mode)
+            samples.append({"video": vid, "x": x, "g_s": g_s, "g_e": g_e, "g_c": g_c})
+    return samples
 
 
 def _step_seed(seed, step):
@@ -488,57 +495,52 @@ def _forward_arrays(net, x_batch, what):
 
 
 def infer(config, checkpoint_path, dataset, out_path=None):
-    """Forward + fuse + Soft-NMS per video; top proposals as {vid: [...]}."""
+    """Forward + fuse + Soft-NMS per video; top proposals as {vid: [...]}.
+
+    All views, in sorted-video order, go through the network in batches of
+    config.batch_size. A video is merged (window mode) and suppressed as soon
+    as its last view is through, so memory holds one batch plus one video's
+    candidates. Proposal ends are clamped to the video's duration.
+    """
     net, header = load_checkpoint(checkpoint_path)
     want = net.config.in_channels
+    T = net.config.temporal_length
     vids = sorted(dataset)
     for vid in vids:
         have = dataset[vid]["features"].shape[0]
         if have != want:
             raise ValueError(f"feature/checkpoint shape mismatch for {vid}: features have "
                              f"{have} channels, checkpoint expects {want}")
-    proposals = {}
-    if not config.window_mode:
-        T = net.config.temporal_length
-        for lo in range(0, len(vids), config.batch_size):
-            chunk = vids[lo:lo + config.batch_size]
-            x = np.stack([rescale_linear(dataset[v]["features"], T) for v in chunk])
-            p_s, p_e, p_c, p_r = _forward_arrays(net, x, f"videos {chunk}")
-            for j, vid in enumerate(chunk):
-                grid = TemporalGrid(T, dataset[vid]["duration_seconds"])
-                proposals[vid] = postprocess.proposals_for_video(
-                    p_s[j], p_e[j], p_c[j], p_r[j], grid, config.snms_sigma,
-                    config.snms_floor, config.max_proposals)
-    else:
-        L = net.config.temporal_length
+
+    def flat_views():
         for vid in vids:
-            d = dataset[vid]
-            t_raw = d["features"].shape[1]
-            dt_raw = d["duration_seconds"] / t_raw
-            wins = sliding_windows(d["features"], L, config.window_overlap)
-            x = np.stack([w[0] for w in wins])
-            p_s, p_e, p_c, p_r = _forward_arrays(net, x, f"windows of video {vid!r}")
-            all_ts, all_te, all_sc = [], [], []
-            for j, (_, offset, valid) in enumerate(wins):
-                grid = TemporalGrid(L, L * dt_raw)
-                ss, ee, ts, te, sc = postprocess.fuse_scores(p_s[j], p_e[j], p_c[j], p_r[j], grid)
-                keep = (ss < valid) & (ee < valid)
-                all_ts.append(ts[keep] + offset * dt_raw)
-                all_te.append(te[keep] + offset * dt_raw)
-                all_sc.append(sc[keep])
-            ts = np.concatenate(all_ts)
-            te = np.concatenate(all_te)
-            sc = np.concatenate(all_sc)
-            ts, te, sc = postprocess.merge_window_duplicates(ts, te, sc)
-            k_ts, k_te, k_sc = postprocess.soft_nms(ts, te, sc, config.snms_sigma,
-                                                    config.snms_floor, config.max_proposals)
-            grid = TemporalGrid(t_raw, d["duration_seconds"])
-            proposals[vid] = [
-                postprocess.ScoredProposal(int(round(a / grid.dt)),
-                                           max(0, int(round(b / grid.dt)) - 1),
-                                           float(a), float(b), float(s))
-                for a, b, s in zip(k_ts, k_te, k_sc)
-            ]
+            views = _views(vid, dataset[vid], config, T)
+            for k, view in enumerate(views):
+                yield vid, view, k == len(views) - 1
+
+    proposals = {}
+    parts = []  # (t_starts, t_ends, scores) per view of the video being collected
+    stream = flat_views()
+    while batch := list(itertools.islice(stream, config.batch_size)):
+        x = np.stack([view[0] for _, view, _ in batch])
+        what = f"videos {list(dict.fromkeys(vid for vid, _, _ in batch))}"
+        p_s, p_e, p_c, p_r = _forward_arrays(net, x, what)
+        for j, (vid, (_, grid, offset, valid, _), last) in enumerate(batch):
+            ss, ee, ts, te, sc = postprocess.fuse_scores(p_s[j], p_e[j], p_c[j], p_r[j], grid)
+            keep = (ss < valid) & (ee < valid)
+            parts.append((ts[keep] + offset,
+                          np.minimum(te[keep] + offset, dataset[vid]["duration_seconds"]),
+                          sc[keep]))
+            if not last:
+                continue
+            ts, te, sc = (np.concatenate(a) for a in zip(*parts))
+            parts = []
+            if config.window_mode:
+                ts, te, sc = postprocess.merge_window_duplicates(ts, te, sc)
+            ts, te, sc = postprocess.soft_nms(ts, te, sc, config.snms_sigma,
+                                              config.snms_floor, config.max_proposals)
+            proposals[vid] = [postprocess.ScoredProposal(float(a), float(b), float(s))
+                              for a, b, s in zip(ts, te, sc)]
     if out_path:
         postprocess.save_proposals(out_path, proposals)
     return proposals
@@ -547,10 +549,7 @@ def infer(config, checkpoint_path, dataset, out_path=None):
 def evaluate_proposals(proposals, annotations, an_grid=None, thresholds=None):
     gts = {vid: [(i.t_start, i.t_end) for i in entry["instances"]]
            for vid, entry in annotations.items()}
-    flat = {vid: [(p.t_start, p.t_end, p.score) for p in props] if props and
-            isinstance(props[0], postprocess.ScoredProposal) else props
-            for vid, props in proposals.items()}
-    return evalkit.evaluate(flat, gts,
+    return evalkit.evaluate(proposals, gts,
                             an_grid=an_grid if an_grid is not None else evalkit.DEFAULT_AN_GRID,
                             thresholds=thresholds if thresholds is not None
                             else evalkit.DEFAULT_THRESHOLDS)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,10 +12,7 @@ SCORE_FLOOR = 1e-4
 MAX_PROPOSALS = 100
 
 
-@dataclass
-class ScoredProposal:
-    start_index: int
-    end_index: int
+class ScoredProposal(NamedTuple):
     t_start: float
     t_end: float
     score: float
@@ -90,18 +87,6 @@ def soft_nms(t_starts, t_ends, scores, sigma=SOFT_NMS_SIGMA,
     return t_starts[picked], t_ends[picked], scores[picked]
 
 
-def proposals_for_video(p_s, p_e, p_c, p_r, grid, sigma=SOFT_NMS_SIGMA,
-                        score_floor=SCORE_FLOOR, max_out=MAX_PROPOSALS):
-    """Fuse, suppress and wrap into ScoredProposal objects."""
-    ss, ee, ts, te, sc = fuse_scores(p_s, p_e, p_c, p_r, grid)
-    kept_ts, kept_te, kept_sc = soft_nms(ts, te, sc, sigma, score_floor, max_out)
-    out = []
-    for a, b, s in zip(kept_ts, kept_te, kept_sc):
-        out.append(ScoredProposal(int(round(a / grid.dt)), int(round(b / grid.dt)) - 1,
-                                  float(a), float(b), float(s)))
-    return out
-
-
 def merge_window_duplicates(t_starts, t_ends, scores, iou_threshold=0.95):
     """Collapse near-identical intervals from overlapping windows, keeping max score.
 
@@ -163,6 +148,7 @@ def load_proposals(path):
     with open(path) as f:
         raw = json.load(f)
     return {
-        vid: [(float(p["t_start"]), float(p["t_end"]), float(p["score"])) for p in props]
+        vid: [ScoredProposal(float(p["t_start"]), float(p["t_end"]), float(p["score"]))
+              for p in props]
         for vid, props in raw.items()
     }

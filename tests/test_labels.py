@@ -1,5 +1,7 @@
 """Label construction: IoR/IoU, boundary sequences, confidence maps."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,11 @@ class TestGrid:
             TemporalGrid(0, 10.0)
         with pytest.raises(ValueError):
             TemporalGrid(10, 0.0)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="bad grid"):
+            TemporalGrid(10, duration)
 
     def test_cell_interval(self):
         grid = TemporalGrid(10, 20.0)
@@ -159,3 +166,22 @@ class TestAnnotationIO:
             ActionInstance(5.0, 5.0)
         with pytest.raises(ValueError, match=">= 0"):
             ActionInstance(-1.0, 5.0)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"instances": []}, "has no 'duration_seconds' field"),
+        ({"duration_seconds": 9.0}, "has no 'instances' field"),
+        ({"duration_seconds": 9.0, "instances": [{"end": 2.0}]}, "has no 'start' field"),
+        ({"duration_seconds": 9.0, "instances": [{"start": 1.0}]}, "has no 'end' field"),
+        ({"duration_seconds": float("nan"), "instances": []}, "duration_seconds nan"),
+        ({"duration_seconds": float("inf"), "instances": []}, "duration_seconds inf"),
+        ({"duration_seconds": 0.0, "instances": []}, "duration_seconds 0.0"),
+        ({"duration_seconds": -3.0, "instances": []}, "duration_seconds -3.0"),
+        ({"duration_seconds": 9.0, "instances": [{"start": 4.0, "end": 2.0}]},
+         "t_end > t_start"),
+    ])
+    def test_bad_entry_names_file_and_video(self, tmp_path, entry, message):
+        path = str(tmp_path / "ann.json")
+        with open(path, "w") as f:
+            json.dump({"ok": {"duration_seconds": 5.0, "instances": []}, "bad_vid": entry}, f)
+        with pytest.raises(ValueError, match=f"ann.json: video 'bad_vid'.*{message}"):
+            load_annotations(path)

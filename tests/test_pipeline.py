@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from smbg import pipeline as pl
+from smbg import postprocess as pp
 from smbg import tensor as t
 from smbg.cli import main as cli_main
-from smbg.labels import ActionInstance
-from smbg.net import load_checkpoint, save_checkpoint
+from smbg.labels import ActionInstance, TemporalGrid
+from smbg.net import SmbgNet, load_checkpoint, save_checkpoint
 
 RNG = t.init_rng(61)
 
@@ -29,6 +30,64 @@ def tiny_run_config(tmp_path, **kw):
 
 def tiny_datasets(n_train=6, n_eval=3, seed=0):
     return pl.make_benchmark_datasets(seed, n_train=n_train, n_eval=n_eval, channels=4)
+
+
+TINY_WINDOW = dict(window_mode=True, window_length=16,
+                   band_spec={"edges": [0, 5, 16], "kernel_sizes": [3, 5]})
+
+
+def at_frame_rate(dataset, seconds_per_frame):
+    """The same videos with `seconds_per_frame` seconds between feature frames."""
+    r = seconds_per_frame
+    return {vid: {"features": d["features"],
+                  "duration_seconds": d["features"].shape[1] * r,
+                  "instances": [ActionInstance(i.t_start * r, i.t_end * r)
+                                for i in d["instances"]]}
+            for vid, d in dataset.items()}
+
+
+def two_branch_infer(config, checkpoint_path, dataset):
+    """Inference as one branch per mode, kept as the oracle for pl.infer.
+
+    Rescale mode forwards batches of rescaled videos; window mode forwards
+    all windows of one video at once, ignores batch_size and never clamps
+    ends to the duration. Returns {vid: [(t_start, t_end, score)]}.
+    """
+    net, _ = load_checkpoint(checkpoint_path)
+    T = net.config.temporal_length
+    nms = (config.snms_sigma, config.snms_floor, config.max_proposals)
+
+    def forward(x):
+        with t.no_grad():
+            out = net.forward(t.Tensor(x), train=False)
+        return [out[k].data for k in ("P_s", "P_e", "P_c", "P_r")]
+
+    vids = sorted(dataset)
+    proposals = {}
+    if not config.window_mode:
+        for lo in range(0, len(vids), config.batch_size):
+            chunk = vids[lo:lo + config.batch_size]
+            maps = forward(np.stack([pl.rescale_linear(dataset[v]["features"], T)
+                                     for v in chunk]))
+            for j, vid in enumerate(chunk):
+                grid = TemporalGrid(T, dataset[vid]["duration_seconds"])
+                _, _, ts, te, sc = pp.fuse_scores(*(m[j] for m in maps), grid)
+                proposals[vid] = list(zip(*pp.soft_nms(ts, te, sc, *nms)))
+        return proposals
+    for vid in vids:
+        d = dataset[vid]
+        dt_raw = d["duration_seconds"] / d["features"].shape[1]
+        wins = pl.sliding_windows(d["features"], T, config.window_overlap)
+        maps = forward(np.stack([w[0] for w in wins]))
+        parts = []
+        for j, (_, offset, valid) in enumerate(wins):
+            grid = TemporalGrid(T, T * dt_raw)
+            ss, ee, ts, te, sc = pp.fuse_scores(*(m[j] for m in maps), grid)
+            keep = (ss < valid) & (ee < valid)
+            parts.append((ts[keep] + offset * dt_raw, te[keep] + offset * dt_raw, sc[keep]))
+        ts, te, sc = pp.merge_window_duplicates(*(np.concatenate(a) for a in zip(*parts)))
+        proposals[vid] = list(zip(*pp.soft_nms(ts, te, sc, *nms)))
+    return proposals
 
 
 class TestFeatureFiles:
@@ -174,6 +233,15 @@ class TestSynthetic:
         for vid in ds:
             assert np.array_equal(loaded[vid]["features"], ds[vid]["features"])
             assert loaded[vid]["instances"] == ds[vid]["instances"]
+
+    def test_missing_feature_file_names_video_and_paths(self, tmp_path):
+        spec = pl.SyntheticSpec(num_videos=2, channels=3, seed=7)
+        ds, _ = pl.synth_dataset(spec)
+        ann_path = pl.write_dataset(ds, str(tmp_path))
+        os.remove(tmp_path / "features" / "video_0001.csv")
+        with pytest.raises(FileNotFoundError,
+                           match=r"'video_0001'.*video_0001\.csv.*video_0001\.bin"):
+            pl.read_dataset(str(tmp_path / "features"), ann_path)
 
 
 class TestRunConfig:
@@ -372,23 +440,38 @@ class TestInference:
         for vid, plist in props.items():
             dur = ds[vid]["duration_seconds"]
             for p in plist:
-                assert 0.0 <= p.t_start < p.t_end <= dur + 1e-9
+                assert 0.0 <= p.t_start < p.t_end <= dur
 
-    def test_window_mode_long_video_from_init_checkpoint(self, tmp_path):
-        from smbg.net import SmbgNet, save_checkpoint
-        cfg = pl.RunConfig(window_mode=True, seed=0)
+    def test_window_mode_long_video_from_init_checkpoint(self, tmp_path, monkeypatch):
+        # 600 frames at L=128, overlap 0.5: 9 windows, which batch_size=4
+        # must split into forwards of at most 4 without changing a byte
+        cfg = pl.RunConfig(window_mode=True, seed=0, batch_size=4)
         duration = 600
         spec = pl.SyntheticSpec(num_videos=1, channels=cfg.in_channels, seed=5,
                                 duration_range=(duration, duration))
         ds, _ = pl.synth_dataset(spec)
         ckpt = str(tmp_path / "init.ckpt")
         save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
-        (plist,) = pl.infer(cfg, ckpt, ds).values()
+        batches = []
+        forward = SmbgNet.forward
+
+        def counting_forward(net, x, train=False):
+            batches.append(x.shape[0])
+            return forward(net, x, train=train)
+
+        monkeypatch.setattr(SmbgNet, "forward", counting_forward)
+        (plist,) = pl.infer(cfg, ckpt, ds, str(tmp_path / "b4.json")).values()
+        assert batches == [4, 4, 1]
         assert 0 < len(plist) <= cfg.max_proposals
         scores = [p.score for p in plist]
         assert scores == sorted(scores, reverse=True)
         for p in plist:
             assert 0.0 <= p.t_start < p.t_end <= duration
+        batches.clear()
+        cfg16 = pl.RunConfig.from_dict(dict(cfg.to_dict(), batch_size=16))
+        pl.infer(cfg16, ckpt, ds, str(tmp_path / "b16.json"))
+        assert batches == [9]
+        assert (tmp_path / "b4.json").read_bytes() == (tmp_path / "b16.json").read_bytes()
 
     def test_non_finite_outputs_name_the_videos(self, tmp_path):
         cfg = tiny_run_config(tmp_path)
@@ -401,10 +484,102 @@ class TestInference:
         with pytest.raises(FloatingPointError, match=r"P_c of videos \['"):
             pl.infer(cfg, bad_ckpt, eval_ds)
 
+    @pytest.mark.parametrize("window", [False, True], ids=["rescale", "window"])
+    @pytest.mark.parametrize("seconds_per_frame", [1.0, 0.37, 1 / 0.3, 4.3097],
+                             ids=["1Hz", "0.37s", "0.3Hz", "4.31s"])
+    def test_matches_two_branch_oracle(self, tmp_path, window, seconds_per_frame):
+        cfg = tiny_run_config(tmp_path, batch_size=3, **(TINY_WINDOW if window else {}))
+        spec = pl.SyntheticSpec(num_videos=5, channels=4, seed=11, duration_range=(30, 75))
+        ds = at_frame_rate(pl.synth_dataset(spec)[0], seconds_per_frame)
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
+        got = pl.infer(cfg, ckpt, ds)
+        want = two_branch_infer(cfg, ckpt, ds)
+        assert list(got) == list(want)
+        for vid, plist in got.items():
+            dur = ds[vid]["duration_seconds"]
+            clamped = [(a, min(b, dur), s) for a, b, s in want[vid]]
+            if all(b <= dur for _, b, _ in want[vid]):
+                assert plist == clamped
+            else:
+                # a clamped end moves the IoUs Soft-NMS decays by, so by an ulp
+                # or so the scores it leaves
+                assert [p[:2] for p in plist] == [c[:2] for c in clamped]
+                np.testing.assert_allclose([p.score for p in plist],
+                                           [c[2] for c in clamped], rtol=1e-12, atol=0)
+
+    def test_proposals_ranked_with_unit_scores(self, tmp_path):
+        for kw in ({}, TINY_WINDOW):
+            cfg = tiny_run_config(tmp_path, **kw)
+            spec = pl.SyntheticSpec(num_videos=3, channels=4, seed=2, duration_range=(20, 50))
+            ds, _ = pl.synth_dataset(spec)
+            ckpt = str(tmp_path / "init.ckpt")
+            save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
+            for plist in pl.infer(cfg, ckpt, ds).values():
+                scores = [p.score for p in plist]
+                assert scores == sorted(scores, reverse=True)
+                for p in plist:
+                    assert type(p) is pp.ScoredProposal
+                    assert p.t_end > p.t_start
+                    assert 0.0 <= p.score <= 1.0
+
+    def test_window_ends_clamped_to_duration(self, tmp_path):
+        # offset + in-window end can round past the duration on a video's
+        # last window; 172 frames over this duration did so by 1.1e-13 s
+        cfg = pl.RunConfig(window_mode=True, seed=0, max_proposals=10**6, snms_floor=0.0)
+        duration = 741.2797033202315
+        spec = pl.SyntheticSpec(num_videos=1, channels=cfg.in_channels, seed=5,
+                                duration_range=(172, 172), instances_range=(0, 0))
+        ds = at_frame_rate(pl.synth_dataset(spec)[0], duration / 172)
+        (video,) = ds.values()
+        video["duration_seconds"] = duration
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
+        (plist,) = pl.infer(cfg, ckpt, ds).values()
+        ends = [p.t_end for p in plist]
+        assert max(ends) == duration
+        assert all(e <= duration for e in ends)
+
+    def test_window_ends_clamped_over_frames_and_durations(self, tmp_path, monkeypatch):
+        cfg = tiny_run_config(tmp_path, **TINY_WINDOW)
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
+        rng = np.random.default_rng(7)
+        candidates = []
+        soft_nms = pp.soft_nms
+
+        def keeping_soft_nms(ts, te, sc, *args):
+            candidates.append(te)
+            return soft_nms(ts, te, sc, *args)
+
+        monkeypatch.setattr(pp, "soft_nms", keeping_soft_nms)
+        dataset = {}
+        for k in range(24):
+            frames = int(rng.integers(130, 701))
+            dataset[f"v{k:02d}"] = {"features": rng.standard_normal((4, frames)),
+                                    "duration_seconds": float(rng.uniform(50.0, 900.0)),
+                                    "instances": []}
+        props = pl.infer(cfg, ckpt, dataset)
+        for (vid, plist), te in zip(props.items(), candidates):
+            dur = dataset[vid]["duration_seconds"]
+            assert te.max() <= dur
+            assert all(p.t_end <= dur for p in plist)
+
+    @pytest.mark.parametrize("window", [False, True], ids=["rescale", "window"])
+    def test_single_frame_video_named(self, tmp_path, window):
+        cfg = tiny_run_config(tmp_path, **(TINY_WINDOW if window else {}))
+        ds = {"short_one": {"features": np.ones((4, 1)), "duration_seconds": 1.0,
+                            "instances": []}}
+        with pytest.raises(ValueError, match="'short_one' has 1 frame"):
+            pl.build_samples(ds, cfg)
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
+        with pytest.raises(ValueError, match="'short_one' has 1 frame"):
+            pl.infer(cfg, ckpt, ds)
+
     def test_window_offset_seconds_equivalence(self):
         # propose cell (s,e) inside a window at offset w: seconds must match
         # the same cells addressed on the full sequence
-        from smbg.labels import TemporalGrid
         t_raw, L, offset = 64, 16, 32
         dt = 0.5
         grid = TemporalGrid(L, L * dt)

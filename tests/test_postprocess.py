@@ -239,12 +239,13 @@ class TestMergeWindowDuplicates:
 class TestProposalsIO:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "props.json")
-        props = {"vid": [pp.ScoredProposal(0, 3, 0.0, 4.0, 0.75),
-                         pp.ScoredProposal(1, 2, 1.0, 3.0, 0.25)]}
+        props = {"vid": [pp.ScoredProposal(0.0, 4.0, 0.75),
+                         pp.ScoredProposal(1.0, 3.0, 0.25)]}
         pp.save_proposals(path, props)
         loaded = pp.load_proposals(path)
         assert loaded["vid"][0] == (0.0, 4.0, 0.75)
         assert loaded["vid"][1] == (1.0, 3.0, 0.25)
+        assert all(type(p) is pp.ScoredProposal for p in loaded["vid"])
 
     def test_merge_window_duplicates_keeps_max_score(self):
         ts = np.array([0.0, 0.01, 10.0])
@@ -253,16 +254,3 @@ class TestProposalsIO:
         m_ts, m_te, m_sc = pp.merge_window_duplicates(ts, te, sc, iou_threshold=0.95)
         assert len(m_sc) == 2
         assert m_sc[0] == 0.9  # duplicate collapsed onto the higher score
-
-    def test_proposals_for_video_orders_by_score(self):
-        T = 6
-        grid = TemporalGrid(T, 6.0)
-        p_s = RNG.uniform(0.1, 0.9, T)
-        p_e = RNG.uniform(0.1, 0.9, T)
-        p_c = np.triu(RNG.uniform(0.1, 0.9, (T, T)))
-        props = pp.proposals_for_video(p_s, p_e, p_c, p_c, grid)
-        scores = [p.score for p in props]
-        assert scores == sorted(scores, reverse=True)
-        for p in props:
-            assert p.t_end > p.t_start
-            assert 0.0 <= p.score <= 1.0
