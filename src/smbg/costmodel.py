@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as t
-from .net import (BmnConfig, BmnPfgReference, ModelConfig, SmbgNet,
-                  default_band_spec, mpfg_block_forward)
+from .net import BmnConfig, BmnPfgReference, ModelConfig, SmbgNet, default_band_spec
 from .reference import (MacCounter, batchnorm_eval_ref, conv1d_same_ref,
                         conv2d_dilated_ref, matmul_ref, relu_ref, sigmoid_ref)
 
@@ -196,7 +195,7 @@ def instrument_smbg_forward(net, x):
               for i, conv in enumerate(net.band_starts)]
     ends = [conv1d_same_ref(f_b, conv.w.data, conv.b.data, counter, f"band{i}.end")
             for i, conv in enumerate(net.band_ends)]
-    f_p = t.assemble_band_maps_raw(starts, ends, net.cells, c.temporal_length)
+    f_p = t.assemble_band_maps(starts, ends, net.cells, c.temporal_length).data
     g = relu_ref(conv2d_dilated_ref(f_p, net.sec_dil.w.data, net.sec_dil.b.data,
                                     c.dilation, counter, "sec_dil"))
     g = batchnorm_eval_ref(g, net.sec_bn1.gamma.data, net.sec_bn1.beta.data,
@@ -268,7 +267,11 @@ def _time_callable(fn, repetitions, warmup):
 
 def bench(variant, repetitions=10, warmup=3, batch=16, smbg_config=None,
           bmn_config=None, seed=0):
-    """Time one proposal-feature block variant on a shared random input."""
+    """Time one proposal-feature block variant on a shared random input.
+
+    "mpfg" is the model's own band layer, SmbgNet.mpfg_forward with
+    gradients off; "bmn_pfg" is BmnPfgReference.forward_block.
+    """
     smbg_config = smbg_config or full_scale_model_config()
     bmn_config = bmn_config or BmnConfig(channels=smbg_config.base_channels,
                                          temporal_length=smbg_config.temporal_length)
@@ -276,7 +279,10 @@ def bench(variant, repetitions=10, warmup=3, batch=16, smbg_config=None,
     x = rng.standard_normal((batch, smbg_config.base_channels, smbg_config.temporal_length))
     if variant == "mpfg":
         net = SmbgNet(smbg_config, seed=seed)
-        fn = lambda: mpfg_block_forward(net, x)
+
+        def fn():
+            with t.no_grad():
+                return net.mpfg_forward(t.Tensor(x)).data
     elif variant == "bmn_pfg":
         ref = BmnPfgReference(bmn_config, seed=seed)
         fn = lambda: ref.forward_block(x)

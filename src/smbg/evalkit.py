@@ -7,21 +7,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .labels import interval_iou
+
 DEFAULT_THRESHOLDS = np.round(np.arange(0.5, 0.951, 0.05), 10)
 DEFAULT_AN_GRID = np.arange(1, 101)
 
 
 def _iou_matrix(proposals, gts):
-    """[P, G] IoU of every proposal (t0, t1, score) with every ground truth.
-
-    Same float operations as labels.iou, so every entry equals it exactly.
-    """
+    """[P, G] IoU of every proposal (t0, t1, score) with every ground truth."""
     p = np.array([(t0, t1) for t0, t1, _ in proposals], dtype=float).reshape(-1, 1, 2)
     g = np.array(gts, dtype=float).reshape(1, -1, 2)
-    inter = np.maximum(0.0, np.minimum(p[..., 1], g[..., 1]) - np.maximum(p[..., 0], g[..., 0]))
-    union = np.maximum(p[..., 1], g[..., 1]) - np.minimum(p[..., 0], g[..., 0])
-    positive = union > 0
-    return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
+    return interval_iou(p[..., 0], p[..., 1], g[..., 0], g[..., 1])
 
 
 def _match_ranks(ious, tiou):

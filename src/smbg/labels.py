@@ -68,6 +68,17 @@ def iou(interval_a, interval_b):
     return inter / union
 
 
+def interval_iou(a0, a1, b0, b1):
+    """Broadcasting IoU of intervals [a0, a1] and [b0, b1].
+
+    Each entry is computed with the same float operations as iou, so it
+    equals iou exactly; where the union is not positive it is 0.
+    """
+    inter = np.maximum(0.0, np.minimum(a1, b1) - np.maximum(a0, b0))
+    union = np.maximum(a1, b1) - np.minimum(a0, b0)
+    return np.divide(inter, union, out=np.zeros_like(union), where=union > 0)
+
+
 def assign_boundary_labels(instances, grid):
     """Max-IoR start/end sequences G_s, G_e of length T.
 
@@ -113,11 +124,11 @@ def assign_map_labels(instances, grid, mode="iou"):
     cand_lo = ss * dt
     cand_hi = (ee + 1) * dt
     for inst in instances:
-        inter = np.maximum(0.0, np.minimum(cand_hi, inst.t_end) - np.maximum(cand_lo, inst.t_start))
         if mode == "iou":
-            union = np.maximum(cand_hi, inst.t_end) - np.minimum(cand_lo, inst.t_start)
-            score = inter / union
+            score = interval_iou(cand_lo, cand_hi, inst.t_start, inst.t_end)
         else:
+            inter = np.maximum(0.0, np.minimum(cand_hi, inst.t_end)
+                               - np.maximum(cand_lo, inst.t_start))
             score = inter / (cand_hi - cand_lo)
         np.maximum.at(g_c, (ss, ee), score)
     return g_c

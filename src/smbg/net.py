@@ -12,9 +12,12 @@ which is what makes the layer cheap compared with dense boundary-matching
 sampling. The production forward never materializes that map: the first
 confidence-head conv reads the band sequences directly
 (``tensor.band_map_conv``). The dense map path (``mpfg_forward`` +
-``sec_head``) stays as the reference it is checked against. A BMN-style
+``sec_head``) stays as the reference it is checked against. The speed
+benchmark (``costmodel.bench``) times the band layer as ``mpfg_forward``
+under ``tensor.no_grad``, the same ops that training runs. A BMN-style
 sampling generator is included purely as the efficiency baseline for the
-cost model and benchmarks.
+cost model and benchmarks; it is the only block here that calls the raw
+numpy kernels directly.
 """
 
 from __future__ import annotations
@@ -395,21 +398,6 @@ class BmnPfgReference:
         out = np.matmul(x, self.sampling_mask)
         return out.reshape(B, N, c.sample_count, T, T)
 
-    def sample_loop_oracle(self, x):
-        """Direct per-point interpolation; oracle for sample()."""
-        B, N, T = x.shape
-        c = self.config
-        out = np.zeros((B, N, c.sample_count, T, T))
-        for s in range(T):
-            for e in range(s, T):
-                pts = self.sample_positions(s, e, c.sample_count, c.expansion, T)
-                for q, p in enumerate(pts):
-                    i0 = int(np.floor(p))
-                    i1 = min(i0 + 1, T - 1)
-                    f = p - i0
-                    out[:, :, q, s, e] = (1.0 - f) * x[:, :, i0] + f * x[:, :, i1]
-        return out
-
     def forward_block(self, x):
         """Sampling plus the 3D/2D convolution stack; streams over the batch."""
         B, N, T = x.shape
@@ -424,29 +412,6 @@ class BmnPfgReference:
             h = np.maximum(t.conv2d_dilated_raw(h, self.w3, None, 1), 0.0)
             outs.append(t.conv2d_dilated_raw(h, self.w4, None, 1)[0])
         return np.stack(outs)
-
-
-def mpfg_block_forward(net, x):
-    """Raw-numpy forward of just the band layer (benchmark counterpart).
-
-    Same arithmetic as SmbgNet.mpfg_forward minus graph bookkeeping; x is
-    the base feature map f_b as a plain [B,N,T] array. Each band's start
-    and end convs run as one stacked matmul over the shared im2col; the
-    map is written by tensor.assemble_band_maps_raw.
-    """
-    C = net.config.band_channels
-    starts, ends = [], []
-    for conv_s, conv_e in zip(net.band_starts, net.band_ends):
-        k = conv_s.w.data.shape[2]
-        col = t._im2col1d(x, k)
-        w_cat = np.concatenate([conv_s.w.data.reshape(C, -1),
-                                conv_e.w.data.reshape(C, -1)])
-        feat = np.matmul(w_cat, col)
-        feat[:, :C] += conv_s.b.data[:, None]
-        feat[:, C:] += conv_e.b.data[:, None]
-        starts.append(feat[:, :C])
-        ends.append(feat[:, C:])
-    return t.assemble_band_maps_raw(starts, ends, net.cells, net.config.temporal_length)
 
 
 # -- checkpoint container ----------------------------------------------

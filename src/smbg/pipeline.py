@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -494,6 +495,16 @@ def _forward_arrays(net, x_batch, what):
     return tuple(out[k].assert_finite(f"{k} of {what}").data for k in keys)
 
 
+def _check_channels(vid, video, net, checkpoint_path):
+    """Raise a ValueError naming the video and the checkpoint when the
+    video's feature channels are not the model's input channels."""
+    have = video["features"].shape[0]
+    want = net.config.in_channels
+    if have != want:
+        raise ValueError(f"feature/checkpoint shape mismatch for {vid}: features have "
+                         f"{have} channels, checkpoint {checkpoint_path} expects {want}")
+
+
 def infer(config, checkpoint_path, dataset, out_path=None):
     """Forward + fuse + Soft-NMS per video; top proposals as {vid: [...]}.
 
@@ -503,14 +514,10 @@ def infer(config, checkpoint_path, dataset, out_path=None):
     candidates. Proposal ends are clamped to the video's duration.
     """
     net, header = load_checkpoint(checkpoint_path)
-    want = net.config.in_channels
     T = net.config.temporal_length
     vids = sorted(dataset)
     for vid in vids:
-        have = dataset[vid]["features"].shape[0]
-        if have != want:
-            raise ValueError(f"feature/checkpoint shape mismatch for {vid}: features have "
-                             f"{have} channels, checkpoint expects {want}")
+        _check_channels(vid, dataset[vid], net, checkpoint_path)
 
     def flat_views():
         for vid in vids:
@@ -557,10 +564,10 @@ def evaluate_proposals(proposals, annotations, an_grid=None, thresholds=None):
 
 # -- noise probe -------------------------------------------------------------
 
-def _gt_cell(inst, grid):
-    """Map cell whose candidate interval best matches the instance."""
-    s = int(round(inst.t_start / grid.dt))
-    e = int(round(inst.t_end / grid.dt)) - 1
+def _gt_cell(t_start, t_end, grid):
+    """Map cell whose candidate interval best matches [t_start, t_end]."""
+    s = int(round(t_start / grid.dt))
+    e = int(round(t_end / grid.dt)) - 1
     s = min(max(s, 0), grid.length - 1)
     e = min(max(e, s), grid.length - 1)
     return s, e
@@ -574,24 +581,26 @@ def noise_probe(config, checkpoint_path, dataset, video_id,
     the ground-truth cells against the clean run, averaged over `trials`
     noise draws matched to the feature matrix's global mean/std. Writes
     per-fraction map snapshots as CSV grids when out_dir is given.
+
+    The video reaches the model through _views, as in infer. Each instance
+    is probed in the first view that holds it whole, at the _gt_cell of the
+    instance shifted by that view's offset, on that view's grid; the
+    snapshots are maps of the view that holds the first probed instance.
+    Rescale mode has one view, the whole video.
     """
     net, _ = load_checkpoint(checkpoint_path)
     d = dataset[video_id]
+    _check_channels(video_id, d, net, checkpoint_path)
     if not d["instances"]:
         raise ValueError(f"{video_id} has no annotated instances to probe")
     feats = d["features"]
     T = net.config.temporal_length
-    t_raw = feats.shape[1]
-    dt_raw = d["duration_seconds"] / t_raw
-    grid = TemporalGrid(T, d["duration_seconds"])
+    dt_raw = d["duration_seconds"] / feats.shape[1]
     mean, std = float(feats.mean()), float(feats.std())
+    views = _views(video_id, d, config, T)
+    view_ends = [offset + valid * grid.dt for _, grid, offset, valid, _ in views]
+    view_ends[-1] = math.inf  # the last view runs to the end of the video
 
-    def run(f_mat):
-        p_s, p_e, p_c, p_r = _forward_arrays(net, rescale_linear(f_mat, T)[None],
-                                             f"video {video_id!r}")
-        return p_c[0], p_r[0]
-
-    clean_c, clean_r = run(feats)
     cells, skipped = [], []
     for inst in d["instances"]:
         lo = int(np.floor(inst.t_start / dt_raw))
@@ -600,36 +609,57 @@ def noise_probe(config, checkpoint_path, dataset, video_id,
             skipped.append({"instance": [inst.t_start, inst.t_end],
                             "note": "span shorter than 3 grid cells; skipped"})
             continue
-        cells.append((inst, lo, hi, _gt_cell(inst, grid)))
+        holding = [k for k, (_, _, offset, _, _) in enumerate(views)
+                   if offset <= inst.t_start and inst.t_end <= view_ends[k]]
+        if not holding:
+            skipped.append({"instance": [inst.t_start, inst.t_end],
+                            "note": "no view holds the whole instance; skipped"})
+            continue
+        k = holding[0]
+        _, grid, offset, _, _ = views[k]
+        cells.append((inst, lo, hi, k, _gt_cell(inst.t_start - offset, inst.t_end - offset,
+                                                grid)))
     if not cells:
-        raise ValueError(f"{video_id}: every instance is shorter than 3 grid cells")
+        raise ValueError(f"{video_id}: no instance can be probed; every one is shorter "
+                         f"than 3 grid cells or held whole by no view")
+    probed = sorted({k for _, _, _, k, _ in cells})
 
+    def run(f_mat):
+        """Classification maps of f_mat's probed views, by view index."""
+        noisy_views = _views(video_id, dict(d, features=f_mat), config, T)
+        x = np.stack([noisy_views[k][0] for k in probed])
+        maps = [_forward_arrays(net, x[i:i + config.batch_size], f"video {video_id!r}")[2]
+                for i in range(0, len(probed), config.batch_size)]
+        return dict(zip(probed, np.concatenate(maps)))
+
+    clean = run(feats)
+    snap = cells[0][3]  # snapshots show the view of the first probed instance
     report = {"video": video_id, "fractions": list(fractions), "trials": trials,
               "skipped": skipped, "clean_confidence": {}, "per_fraction": []}
-    for inst, lo, hi, (cs, ce) in cells:
+    for inst, _, _, k, (cs, ce) in cells:
         report["clean_confidence"][f"{inst.t_start:.2f}-{inst.t_end:.2f}"] = \
-            float(clean_c[cs, ce])
+            float(clean[k][cs, ce])
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        np.savetxt(os.path.join(out_dir, "map_clean.csv"), clean_c, delimiter=",", fmt="%.6f")
+        np.savetxt(os.path.join(out_dir, "map_clean.csv"), clean[snap], delimiter=",",
+                   fmt="%.6f")
     for fi, frac in enumerate(fractions):
         deltas = np.zeros((trials, len(cells)))
         conf = np.zeros((trials, len(cells)))
-        last_map = clean_c
+        last = clean
         for trial in range(trials):
             rng = t.init_rng(np.random.SeedSequence([seed, fi, trial]).generate_state(1)[0])
             noisy = feats.copy()
-            for ci, (inst, lo, hi, _) in enumerate(cells):
+            for _, lo, hi, _, _ in cells:
                 span = hi - lo
                 n_rep = int(round(frac * span))
                 if n_rep > 0:
                     c0 = lo + (span - n_rep) // 2
                     noisy[:, c0:c0 + n_rep] = rng.normal(mean, std, (feats.shape[0], n_rep))
-            p_c, _ = run(noisy)
-            last_map = p_c
-            for ci, (_, _, _, (cs, ce)) in enumerate(cells):
-                conf[trial, ci] = p_c[cs, ce]
-                deltas[trial, ci] = p_c[cs, ce] - clean_c[cs, ce]
+            last = run(noisy)
+            for ci, (_, _, _, k, (cs, ce)) in enumerate(cells):
+                conf[trial, ci] = last[k][cs, ce]
+                deltas[trial, ci] = last[k][cs, ce] - clean[k][cs, ce]
         report["per_fraction"].append({
             "fraction": frac,
             "mean_confidence": float(conf.mean()),
@@ -637,7 +667,7 @@ def noise_probe(config, checkpoint_path, dataset, video_id,
         })
         if out_dir:
             np.savetxt(os.path.join(out_dir, f"map_f{int(round(frac * 100)):03d}.csv"),
-                       last_map, delimiter=",", fmt="%.6f")
+                       last[snap], delimiter=",", fmt="%.6f")
     if out_dir:
         with open(os.path.join(out_dir, "probe_report.json"), "w") as f:
             json.dump(report, f, indent=2, sort_keys=True)

@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .labels import interval_iou
+
 SOFT_NMS_SIGMA = 0.4
 SCORE_FLOOR = 1e-4
 MAX_PROPOSALS = 100
@@ -33,12 +35,6 @@ def fuse_scores(p_s, p_e, p_c, p_r, grid):
     scores = p_s[ss] * p_e[ee] * np.asarray(p_c)[ss, ee] * np.asarray(p_r)[ss, ee]
     t_ends = np.minimum((ee + 1) * grid.dt, grid.duration)
     return ss, ee, ss * grid.dt, t_ends, scores
-
-
-def interval_iou_one_vs_many(t0, t1, starts, ends):
-    inter = np.maximum(0.0, np.minimum(t1, ends) - np.maximum(t0, starts))
-    union = np.maximum(t1, ends) - np.minimum(t0, starts)
-    return np.where(union > 0, inter / np.maximum(union, 1e-30), 0.0)
 
 
 def soft_nms(t_starts, t_ends, scores, sigma=SOFT_NMS_SIGMA,
@@ -77,8 +73,7 @@ def soft_nms(t_starts, t_ends, scores, sigma=SOFT_NMS_SIGMA,
         alive[chosen] = False
         rest = np.nonzero(alive)[0]
         if rest.size:
-            ious = interval_iou_one_vs_many(t_starts[chosen], t_ends[chosen],
-                                            t_starts[rest], t_ends[rest])
+            ious = interval_iou(t_starts[chosen], t_ends[chosen], t_starts[rest], t_ends[rest])
             scores[rest] *= np.exp(-(ious * ious) / sigma)
     picked = np.array(picked, dtype=int)
     if picked.size:
@@ -123,8 +118,7 @@ def merge_window_duplicates(t_starts, t_ends, scores, iou_threshold=0.95):
     for i in order:
         near = np.flatnonzero(kept[lo[i]:hi[i]]) + lo[i]
         if near.size:
-            ious = interval_iou_one_vs_many(t_starts[i], t_ends[i],
-                                            sorted_ts[near], sorted_te[near])
+            ious = interval_iou(t_starts[i], t_ends[i], sorted_ts[near], sorted_te[near])
             if ious.max() >= iou_threshold:
                 continue
         kept[rank[i]] = True

@@ -6,9 +6,11 @@ float32 cannot sustain, and everything here runs at desk scale.
 The graph is built eagerly: every op returns a new Tensor that keeps
 references to its parents and a closure that scatters the upstream
 gradient back to them. ``Tensor.backward()`` runs a topological sweep
-from a scalar loss. Raw numpy kernels (``conv1d_same_raw`` etc.) are
-exposed separately so benchmark code can time the arithmetic without
-graph bookkeeping.
+from a scalar loss. Under ``no_grad`` an op keeps no parents and no
+closure, so the graph ops are also the inference and benchmark path. The
+raw numpy kernels (``conv1d_same_raw``, ``conv2d_dilated_raw``) are what
+the graph ops and their adjoints run; outside this module only the
+boundary-matching baseline and the tests call them.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ def take_cells(a, index):
     return _make(a.data[index], (a,), backward, "take_cells")
 
 
-# -- convolution kernels (raw numpy, shared by graph ops and benchmarks)
+# -- convolution kernels (raw numpy, shared by graph ops and their adjoints)
 
 def _pad1d(x, p):
     if p == 0:
@@ -376,8 +378,6 @@ def conv1d_same(x, w, b):
         raise ValueError(f"bias must have shape ({Co},), got {b.data.shape}")
     col = _im2col1d(x.data, k)
     out_data = conv1d_same_raw(x.data, w.data, b.data, col)
-    if not (_grad_enabled and (x.requires_grad or w.requires_grad or b.requires_grad)):
-        return Tensor(out_data, op="conv1d_same")
 
     def backward(g):
         gx, gw, gb = _conv1d_same_backward(w.data, g, col)
@@ -458,13 +458,10 @@ def conv2d_dilated(x, w, b, dilation=1):
         raise ValueError(f"kernel must be odd and square, got {kh}x{kw}")
     if Ci != x.data.shape[1]:
         raise ValueError(f"channel mismatch: input has {x.data.shape[1]}, weight expects {Ci}")
-    needs_grad = _grad_enabled and (x.requires_grad or w.requires_grad or b.requires_grad)
     col = None
     if kh > 1 or kw > 1:
         col = _im2col2d(x.data, kh, kw, dilation)
     out_data = conv2d_dilated_raw(x.data, w.data, b.data, dilation, col)
-    if not needs_grad:
-        return Tensor(out_data, op="conv2d_dilated")
 
     def backward(g):
         gx, gw, gb = _conv2d_dilated_backward(x.data, w.data, g, dilation, col)
@@ -503,38 +500,26 @@ def repeat_to_map(vec, axis):
     return _make(out_data, (vec,), backward, "repeat_to_map")
 
 
-def assemble_band_maps_raw(starts, ends, band_cells, T):
-    """The [B, 2C, T, T] proposal feature map from raw per-band [B, C, T] arrays.
+def assemble_band_maps(starts, ends, band_cells, T):
+    """The [B, 2C, T, T] proposal feature map from per-band [B, C, T] sequences.
 
     band_cells: per band, its cells as row runs (s, e0, e1), meaning cells
     (s, e) for e in [e0, e1) (see net.band_cells). Such a run takes the
     constant start column starts[:, :, s] in channels [0, C) and the end
     slice ends[:, :, e0:e1] in channels [C, 2C), so the assembly is two
     contiguous row writes per run. Bands own disjoint cells; cells owned
-    by no band (everything below the diagonal) stay exactly zero.
-    """
-    B, C, _ = starts[0].shape
-    out = np.zeros((B, 2 * C, T, T))
-    for start, end, runs in zip(starts, ends, band_cells):
-        for s, e0, e1 in runs:
-            out[:, :C, s, e0:e1] = start[:, :, s, None]
-            out[:, C:, s, e0:e1] = end[:, :, e0:e1]
-    return out
-
-
-def assemble_band_maps(starts, ends, band_cells, T):
-    """Masked band assembly of the proposal feature map (graph op).
-
-    starts/ends: per-band [B,C,T] tensors; band_cells as in
-    assemble_band_maps_raw. The adjoint reads the same runs: a start
-    column collects its run's gradient summed over e, an end slice adds
-    the run's gradient slice.
+    by no band (everything below the diagonal) stay exactly zero. The
+    adjoint reads the same runs: a start column collects its run's
+    gradient summed over e, an end slice adds the run's gradient slice.
     """
     starts = [_as_tensor(s) for s in starts]
     ends = [_as_tensor(e) for e in ends]
-    C = starts[0].data.shape[1]
-    out_data = assemble_band_maps_raw([x.data for x in starts], [x.data for x in ends],
-                                      band_cells, T)
+    B, C, _ = starts[0].data.shape
+    out_data = np.zeros((B, 2 * C, T, T))
+    for start, end, runs in zip(starts, ends, band_cells):
+        for s, e0, e1 in runs:
+            out_data[:, :C, s, e0:e1] = start.data[:, :, s, None]
+            out_data[:, C:, s, e0:e1] = end.data[:, :, e0:e1]
 
     def backward(g):
         for s_t, e_t, runs in zip(starts, ends, band_cells):

@@ -5,8 +5,7 @@ import pytest
 
 from smbg import costmodel as cm
 from smbg import tensor as t
-from smbg.net import (BandSpec, BmnConfig, BmnPfgReference, ModelConfig, SmbgNet,
-                      mpfg_block_forward)
+from smbg.net import BandSpec, BmnConfig, BmnPfgReference, ModelConfig, SmbgNet
 
 RNG = t.init_rng(41)
 
@@ -111,9 +110,9 @@ class TestInstrumentation:
         for key in ("P_s", "P_e", "P_c", "P_r"):
             np.testing.assert_allclose(ref_out[key], fast[key].data, atol=1e-12)
 
-    def test_instrumented_map_equals_block_and_graph_maps(self):
-        # integer weights and inputs keep every sum exact, so the three
-        # callers of the band scatter must agree bit for bit
+    def test_instrumented_map_equals_graph_map(self):
+        # integer weights and inputs keep every sum exact, so the scalar
+        # reference convs and the graph convs must give the same map bit for bit
         cfg = ModelConfig(in_channels=2, temporal_length=12, base_hidden=3, base_channels=2,
                           band_channels=3, boundary_hidden=1, sec_hidden=3, dilation=2,
                           band_spec=BandSpec([0, 2, 5, 12], [3, 5, 7]))
@@ -125,9 +124,8 @@ class TestInstrumentation:
         ref_out, _ = cm.instrument_smbg_forward(net, x)
         f_b = net.base_module(t.Tensor(x)).data
         np.testing.assert_array_equal(ref_out["f_b"], f_b)
-        block = mpfg_block_forward(net, f_b)
         graph = net.mpfg_forward(t.Tensor(f_b)).data
-        assert np.array_equal(ref_out["f_p"], block) and np.array_equal(block, graph)
+        np.testing.assert_array_equal(ref_out["f_p"], graph)
         assert np.count_nonzero(np.triu(graph[0, 0], 5)) > 0  # the last band is populated
 
     @pytest.mark.parametrize("T", [8, 16])
@@ -204,6 +202,21 @@ class TestBench:
         with pytest.raises(ValueError, match="warmup"):
             cm.bench("mpfg", repetitions=10, warmup=1, batch=1,
                      smbg_config=tiny_model(8)[0])
+
+    def test_mpfg_times_the_model_band_layer_without_gradients(self, monkeypatch):
+        calls = []
+        forward = SmbgNet.mpfg_forward
+
+        def spy(net, f_b):
+            out = forward(net, f_b)
+            calls.append((t._grad_enabled, out.requires_grad, out.data.shape))
+            return out
+
+        monkeypatch.setattr(SmbgNet, "mpfg_forward", spy)
+        cfg, _ = tiny_model(8)
+        result = cm.bench("mpfg", repetitions=10, warmup=3, batch=2, smbg_config=cfg)
+        assert len(calls) == 13 and len(result.times_s) == 10
+        assert set(calls) == {(False, False, (2, 2 * cfg.band_channels, 8, 8))}
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from smbg import tensor as t
 from smbg.net import (BandSpec, BmnConfig, BmnPfgReference, ModelConfig, SmbgNet,
                       band_cells, build_masks, default_band_spec, load_checkpoint,
-                      mpfg_block_forward, mpfg_naive_oracle, save_arrays, save_checkpoint)
+                      mpfg_naive_oracle, save_arrays, save_checkpoint)
 
 RNG = t.init_rng(77)
 
@@ -174,12 +174,16 @@ class TestMpfg:
         f_p = net.mpfg_forward(t.Tensor(RNG.standard_normal((1, 2, 8)))).data
         assert np.abs(np.tril(f_p, -1)).max() == 0.0
 
-    def test_fast_block_equals_graph_forward(self):
+    def test_no_grad_forward_equals_graph_forward(self):
+        # the benchmark times mpfg_forward without a graph; it must be the same map
         cfg = tiny_config(T=12, bands=BandSpec([0, 4, 12], [3, 7]), band_channels=4)
         net = SmbgNet(cfg, seed=5)
         x = RNG.standard_normal((3, 2, 12))
-        np.testing.assert_array_equal(mpfg_block_forward(net, x),
-                                      net.mpfg_forward(t.Tensor(x)).data)
+        graph = net.mpfg_forward(t.Tensor(x, requires_grad=True))
+        with t.no_grad():
+            bare = net.mpfg_forward(t.Tensor(x, requires_grad=True))
+        assert graph.requires_grad and not bare.requires_grad and not bare._parents
+        np.testing.assert_array_equal(bare.data, graph.data)
 
     def test_locality_of_cell_features(self):
         # k_max = 5 -> features farther than 2 from both s and e are invisible
@@ -261,6 +265,22 @@ class TestSecHead:
         assert c != a
 
 
+def sample_loop_oracle(ref, x):
+    """Direct per-point interpolation; oracle for BmnPfgReference.sample()."""
+    B, N, T = x.shape
+    c = ref.config
+    out = np.zeros((B, N, c.sample_count, T, T))
+    for s in range(T):
+        for e in range(s, T):
+            pts = ref.sample_positions(s, e, c.sample_count, c.expansion, T)
+            for q, p in enumerate(pts):
+                i0 = int(np.floor(p))
+                i1 = min(i0 + 1, T - 1)
+                f = p - i0
+                out[:, :, q, s, e] = (1.0 - f) * x[:, :, i0] + f * x[:, :, i1]
+    return out
+
+
 class TestBmnReference:
     def test_constant_features_sample_to_constant(self):
         cfg = BmnConfig(channels=3, temporal_length=12, sample_count=8)
@@ -281,7 +301,7 @@ class TestBmnReference:
         ref = BmnPfgReference(cfg, seed=1)
         x = RNG.standard_normal((2, 4, 16))
         fast = ref.sample(x)
-        slow = ref.sample_loop_oracle(x)
+        slow = sample_loop_oracle(ref, x)
         assert np.abs(fast - slow).max() < 1e-12
 
     def test_forward_block_shape(self):

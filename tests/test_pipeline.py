@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -631,6 +632,49 @@ class TestNoiseProbe:
         assert (out / "map_clean.csv").exists()
         assert (out / "map_f040.csv").exists()
         assert (out / "probe_report.json").exists()
+
+    def test_channel_mismatch_names_video_and_checkpoint(self, trained):
+        cfg, ckpt, ds = trained
+        vid = sorted(ds)[0]
+        bad = {vid: dict(ds[vid], features=np.zeros((9, ds[vid]["features"].shape[1])))}
+        msg = re.escape(f"mismatch for {vid}: features have 9 channels, "
+                        f"checkpoint {ckpt} expects 4")
+        with pytest.raises(ValueError, match=msg):
+            pl.noise_probe(cfg, ckpt, bad, vid)
+        with pytest.raises(ValueError, match=msg):
+            pl.infer(cfg, ckpt, bad)
+
+    def test_window_mode_probes_the_window_holding_each_instance(self, tmp_path):
+        # L=16 windows at stride 8 over a 200 s video at 1 Hz
+        cfg = tiny_run_config(tmp_path, **TINY_WINDOW)
+        net = SmbgNet(cfg.model_config(), seed=3)
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, net)
+        feats = t.init_rng(8).standard_normal((4, 200))
+        held = [(ActionInstance(50.3, 59.2), 48), (ActionInstance(150.2, 153.9), 144)]
+        too_long = ActionInstance(100.5, 130.0)  # 29.5 s: no 16 s window holds it
+        vid = "long_video"
+        ds = {vid: {"features": feats, "duration_seconds": 200.0,
+                    "instances": [held[0][0], too_long, held[1][0]]}}
+        out = tmp_path / "probe"
+        report = pl.noise_probe(cfg, ckpt, ds, vid, fractions=(0.0,), trials=1,
+                                out_dir=str(out))
+        assert report["skipped"] == [{"instance": [100.5, 130.0],
+                                      "note": "no view holds the whole instance; skipped"}]
+        grid = TemporalGrid(16, 16.0)
+        maps = []
+        for inst, offset in held:
+            x = feats[None, :, offset:offset + 16]
+            p_c = pl._forward_arrays(net, x, "window")[2][0]
+            s, e = pl._gt_cell(inst.t_start - offset, inst.t_end - offset, grid)
+            key = f"{inst.t_start:.2f}-{inst.t_end:.2f}"
+            assert report["clean_confidence"][key] == p_c[s, e]
+            maps.append(p_c)
+        assert report["per_fraction"][0]["mean_delta"] == 0.0
+        # the snapshots are maps of the window that holds the first probed instance
+        for name in ("map_clean.csv", "map_f000.csv"):
+            np.testing.assert_allclose(np.loadtxt(out / name, delimiter=","), maps[0],
+                                       rtol=0, atol=5e-7)
 
     def test_no_instances_rejected(self, trained):
         cfg, ckpt, ds = trained

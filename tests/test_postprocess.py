@@ -143,6 +143,12 @@ class TestSoftNms:
         assert out.max(initial=0.0) <= sc.max() + 1e-15
 
 
+def iou_one_vs_many(t0, t1, starts, ends):
+    inter = np.maximum(0.0, np.minimum(t1, ends) - np.maximum(t0, starts))
+    union = np.maximum(t1, ends) - np.minimum(t0, starts)
+    return np.where(union > 0, inter / np.maximum(union, 1e-30), 0.0)
+
+
 def greedy_merge_oracle(t_starts, t_ends, scores, iou_threshold=0.95):
     """The all-pairs greedy merge: each candidate, in stable descending-score
     order, is compared with every interval kept so far."""
@@ -150,8 +156,7 @@ def greedy_merge_oracle(t_starts, t_ends, scores, iou_threshold=0.95):
     keep_ts, keep_te, keep_sc = [], [], []
     for i in order:
         if keep_ts:
-            ious = pp.interval_iou_one_vs_many(t_starts[i], t_ends[i],
-                                               np.array(keep_ts), np.array(keep_te))
+            ious = iou_one_vs_many(t_starts[i], t_ends[i], np.array(keep_ts), np.array(keep_te))
             if ious.max() >= iou_threshold:
                 continue
         keep_ts.append(t_starts[i])
