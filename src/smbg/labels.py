@@ -79,6 +79,16 @@ def interval_iou(a0, a1, b0, b1):
     return np.divide(inter, union, out=np.zeros_like(union), where=union > 0)
 
 
+def interval_ior(a0, a1, b0, b1):
+    """Broadcasting IoR: intersection of [a0, a1] and [b0, b1] over a1 - a0.
+
+    Each entry is computed with the same float operations as ior, so it
+    equals ior exactly; [a0, a1] must have positive length.
+    """
+    inter = np.maximum(0.0, np.minimum(a1, b1) - np.maximum(a0, b0))
+    return inter / (a1 - a0)
+
+
 def assign_boundary_labels(instances, grid):
     """Max-IoR start/end sequences G_s, G_e of length T.
 
@@ -91,16 +101,12 @@ def assign_boundary_labels(instances, grid):
     g_s = np.zeros(T)
     g_e = np.zeros(T)
     idx = np.arange(T)
-    start_cells = np.stack([np.clip((idx - 0.5) * dt, 0, grid.duration),
-                            np.clip((idx + 0.5) * dt, 0, grid.duration)], axis=1)
-    end_cells = np.stack([np.clip((idx + 0.5) * dt, 0, grid.duration),
-                          np.clip((idx + 1.5) * dt, 0, grid.duration)], axis=1)
+    start_lo = np.clip((idx - 0.5) * dt, 0, grid.duration)
+    mid = np.clip((idx + 0.5) * dt, 0, grid.duration)  # start cells' end, end cells' start
+    end_hi = np.clip((idx + 1.5) * dt, 0, grid.duration)
     for inst in instances:
-        rs = (inst.t_start - dt, inst.t_start + dt)
-        re = (inst.t_end - dt, inst.t_end + dt)
-        for n in range(T):
-            g_s[n] = max(g_s[n], ior(tuple(start_cells[n]), rs))
-            g_e[n] = max(g_e[n], ior(tuple(end_cells[n]), re))
+        g_s = np.maximum(g_s, interval_ior(start_lo, mid, inst.t_start - dt, inst.t_start + dt))
+        g_e = np.maximum(g_e, interval_ior(mid, end_hi, inst.t_end - dt, inst.t_end + dt))
     return g_s, g_e
 
 
@@ -123,14 +129,9 @@ def assign_map_labels(instances, grid, mode="iou"):
     ss, ee = np.triu_indices(T)
     cand_lo = ss * dt
     cand_hi = (ee + 1) * dt
+    overlap = interval_iou if mode == "iou" else interval_ior
     for inst in instances:
-        if mode == "iou":
-            score = interval_iou(cand_lo, cand_hi, inst.t_start, inst.t_end)
-        else:
-            inter = np.maximum(0.0, np.minimum(cand_hi, inst.t_end)
-                               - np.maximum(cand_lo, inst.t_start))
-            score = inter / (cand_hi - cand_lo)
-        np.maximum.at(g_c, (ss, ee), score)
+        np.maximum.at(g_c, (ss, ee), overlap(cand_lo, cand_hi, inst.t_start, inst.t_end))
     return g_c
 
 

@@ -32,6 +32,10 @@ import numpy as np
 from . import tensor as t
 
 
+class BandSpecError(ValueError):
+    """A band spec that does not fit its temporal length."""
+
+
 @dataclass
 class BandSpec:
     """Duration bands and their per-band 1D kernel sizes.
@@ -54,19 +58,19 @@ class BandSpec:
 
     def validate(self, T):
         if len(self.edges) < 2:
-            raise ValueError("need at least one band")
+            raise BandSpecError("need at least one band")
         if self.edges[0] != 0:
-            raise ValueError(f"first band edge must be 0, got {self.edges[0]}")
+            raise BandSpecError(f"first band edge must be 0, got {self.edges[0]}")
         if self.edges[-1] != T:
-            raise ValueError(f"band edges must reach T={T}, got {self.edges[-1]} "
-                             "(cells past the last edge would be unmasked)")
+            raise BandSpecError(f"band edges must reach T={T}, got {self.edges[-1]} "
+                                "(cells past the last edge would be unmasked)")
         if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
-            raise ValueError(f"band edges must be strictly ascending, got {self.edges}")
+            raise BandSpecError(f"band edges must be strictly ascending, got {self.edges}")
         if len(self.kernel_sizes) != self.num_bands:
-            raise ValueError(f"{self.num_bands} bands need {self.num_bands} kernel sizes, "
-                             f"got {len(self.kernel_sizes)}")
+            raise BandSpecError(f"{self.num_bands} bands need {self.num_bands} kernel sizes, "
+                                f"got {len(self.kernel_sizes)}")
         if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
-            raise ValueError(f"kernel sizes must be odd positive, got {self.kernel_sizes}")
+            raise BandSpecError(f"kernel sizes must be odd positive, got {self.kernel_sizes}")
         return self
 
 
@@ -178,17 +182,6 @@ class Conv2d:
         return t.conv2d_dilated(x, self.w, self.b, self.dilation)
 
 
-def select_channel(x, c):
-    """x[:, c] of a [B,C,...] tensor, keeping the graph connected."""
-    def backward(g):
-        if x.requires_grad:
-            acc = np.zeros_like(x.data)
-            acc[:, c] = g
-            x._accumulate(acc)
-
-    return t._make(x.data[:, c], (x,), backward, "select_channel")
-
-
 class SmbgNet:
     """Base module, boundary head, multilevel band layer and confidence head."""
 
@@ -279,7 +272,7 @@ class SmbgNet:
         h = t.batchnorm_lite(t.relu(self.sec_c1(h)), self.sec_bn2, train)
         h = t.batchnorm_lite(t.relu(self.sec_c2(h)), self.sec_bn3, train)
         out = t.sigmoid(self.sec_c3(h))
-        return select_channel(out, 0), select_channel(out, 1)
+        return t.select_channel(out, 0), t.select_channel(out, 1)
 
     def forward(self, x, train=False):
         """Full pass: features -> (P_s, P_e, P_c, P_r).

@@ -23,9 +23,9 @@ import numpy as np
 from . import evalkit, losses, postprocess, tensor as t
 from .labels import (MAP_LABEL_MODES, ActionInstance, TemporalGrid, build_label_set,
                      load_annotations, save_annotations)
-from .net import (BandSpec, ModelConfig, SmbgNet, default_band_spec, drop_mask_mode,
-                  load_arrays, load_checkpoint, net_from_arrays, save_arrays,
-                  save_checkpoint)
+from .net import (BandSpec, BandSpecError, ModelConfig, SmbgNet, default_band_spec,
+                  drop_mask_mode, load_arrays, load_checkpoint, net_from_arrays,
+                  save_arrays, save_checkpoint)
 
 
 @dataclass
@@ -105,10 +105,12 @@ class RunConfig:
         if self.band_spec is None:
             self.band_spec = asdict(default_band_spec(self.model_temporal_length))
         try:
-            BandSpec(**self.band_spec).validate(self.model_temporal_length)
-        except (TypeError, ValueError) as e:
+            self.model_config()
+        except (TypeError, BandSpecError) as e:
             raise ValueError(f"RunConfig.band_spec {self.band_spec!r} does not fit "
                              f"T={self.model_temporal_length}: {e}") from None
+        except ValueError as e:
+            raise ValueError(f"RunConfig: {e}") from None
 
     @property
     def model_temporal_length(self):
@@ -607,7 +609,7 @@ def noise_probe(config, checkpoint_path, dataset, video_id,
         hi = int(np.ceil(inst.t_end / dt_raw))
         if hi - lo < 3:
             skipped.append({"instance": [inst.t_start, inst.t_end],
-                            "note": "span shorter than 3 grid cells; skipped"})
+                            "note": "span shorter than 3 frames; skipped"})
             continue
         holding = [k for k, (_, _, offset, _, _) in enumerate(views)
                    if offset <= inst.t_start and inst.t_end <= view_ends[k]]
@@ -621,7 +623,7 @@ def noise_probe(config, checkpoint_path, dataset, video_id,
                                                 grid)))
     if not cells:
         raise ValueError(f"{video_id}: no instance can be probed; every one is shorter "
-                         f"than 3 grid cells or held whole by no view")
+                         f"than 3 frames or held whole by no view")
     probed = sorted({k for _, _, _, k, _ in cells})
 
     def run(f_mat):

@@ -49,37 +49,27 @@ def soft_nms(t_starts, t_ends, scores, sigma=SOFT_NMS_SIGMA,
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    t_starts = np.asarray(t_starts, dtype=np.float64).copy()
-    t_ends = np.asarray(t_ends, dtype=np.float64).copy()
-    scores = np.asarray(scores, dtype=np.float64).copy()
-    n = scores.size
-    if n == 0:
-        return t_starts, t_ends, scores
-    alive = np.ones(n, dtype=bool)
-    picked = []
-    while len(picked) < max_out and alive.any():
-        live_idx = np.nonzero(alive)[0]
-        live_scores = scores[live_idx]
-        best = live_scores.max()
-        if best < score_floor:
+    t_starts = np.asarray(t_starts, dtype=np.float64)
+    t_ends = np.asarray(t_ends, dtype=np.float64)
+    # in (start, end) order the first maximum is the documented tie-break
+    order = np.lexsort((t_ends, t_starts))
+    t_starts, t_ends = t_starts[order], t_ends[order]
+    live = np.asarray(scores, dtype=np.float64)[order]
+    picked, kept = [], []
+    for _ in range(min(max_out, live.size)):
+        i = int(np.argmax(live))
+        if live[i] < score_floor:
             break
-        tied = live_idx[live_scores == best]
-        if tied.size > 1:
-            order = np.lexsort((t_ends[tied], t_starts[tied]))
-            chosen = tied[order[0]]
-        else:
-            chosen = tied[0]
-        picked.append(chosen)
-        alive[chosen] = False
-        rest = np.nonzero(alive)[0]
-        if rest.size:
-            ious = interval_iou(t_starts[chosen], t_ends[chosen], t_starts[rest], t_ends[rest])
-            scores[rest] *= np.exp(-(ious * ious) / sigma)
-    picked = np.array(picked, dtype=int)
-    if picked.size:
-        order = np.lexsort((t_ends[picked], t_starts[picked], -scores[picked]))
-        picked = picked[order]
-    return t_starts[picked], t_ends[picked], scores[picked]
+        picked.append(i)
+        kept.append(live[i])
+        live[i] = -np.inf
+        ious = interval_iou(t_starts[i], t_ends[i], t_starts, t_ends)
+        # picked entries stay -inf even where the decay underflows to 0
+        np.multiply(live, np.exp(-(ious * ious) / sigma), out=live, where=live > -np.inf)
+    picked, kept = np.array(picked, dtype=np.intp), np.array(kept)
+    rank = np.lexsort((t_ends[picked], t_starts[picked], -kept))
+    picked = picked[rank]
+    return t_starts[picked], t_ends[picked], kept[rank]
 
 
 def merge_window_duplicates(t_starts, t_ends, scores, iou_threshold=0.95):

@@ -4,13 +4,22 @@ Float64 throughout: the gradient checker works at 1e-4 tolerances that
 float32 cannot sustain, and everything here runs at desk scale.
 
 The graph is built eagerly: every op returns a new Tensor that keeps
-references to its parents and a closure that scatters the upstream
-gradient back to them. ``Tensor.backward()`` runs a topological sweep
-from a scalar loss. Under ``no_grad`` an op keeps no parents and no
-closure, so the graph ops are also the inference and benchmark path. The
-raw numpy kernels (``conv1d_same_raw``, ``conv2d_dilated_raw``) are what
-the graph ops and their adjoints run; outside this module only the
-boundary-matching baseline and the tests call them.
+references to its parents and an adjoint, a closure that maps the
+upstream gradient g to a tuple with one gradient per parent, in
+``_parents`` order. ``Tensor.backward()`` runs a topological sweep from
+a scalar loss and is the only code that accumulates gradients; it skips
+parents that do not require them. An adjoint returns fresh arrays or
+views of g, and never an array it keeps. The sweep adopts a returned
+array as a parent's first ``.grad`` without copying it when the array
+owns its memory, is not g, appears once in the tuple and has the
+parent's shape and dtype; anything else is copied. So no two ``.grad``
+arrays share memory, and none shares memory with a node's ``.data``.
+
+Under ``no_grad`` an op keeps no parents and no adjoint, so the graph ops
+are also the inference and benchmark path. The raw numpy kernels
+(``conv1d_same_raw``, ``conv2d_dilated_raw``) are what the graph ops and
+their adjoints run; outside this module only the boundary-matching
+baseline and the tests call them.
 """
 
 from __future__ import annotations
@@ -91,8 +100,11 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
-        if self.grad is None:
+    def _accumulate(self, g, adopt):
+        """Add g into .grad; a first g is kept as .grad itself when adopt is set."""
+        if self.grad is None and adopt:
+            self.grad = g
+        elif self.grad is None:
             # a private copy, never an alias: later gradients are added in place
             self.grad = np.empty_like(self.data)
             self.grad[...] = g
@@ -118,10 +130,15 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), adopt=True)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            grads = node._backward(node.grad)
+            for p, gp in zip(node._parents, grads, strict=True):
+                if p.requires_grad:
+                    p._accumulate(gp, _adoptable(gp, node.grad, grads, p.data))
+            del grads, gp  # free what was copied before the next adjoint runs
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -153,6 +170,13 @@ class Tensor:
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
+def _adoptable(gp, g, grads, like):
+    """May the sweep keep gp, returned by the adjoint of upstream g, as a .grad?"""
+    return (isinstance(gp, np.ndarray) and gp.base is None and gp is not g
+            and sum(x is gp for x in grads) == 1
+            and gp.shape == like.shape and gp.dtype == like.dtype)
+
+
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -180,10 +204,7 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _make(out_data, (a, b), backward, "add")
 
@@ -193,10 +214,7 @@ def sub(a, b):
     out_data = a.data - b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
     return _make(out_data, (a, b), backward, "sub")
 
@@ -206,10 +224,7 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _make(out_data, (a, b), backward, "mul")
 
@@ -218,8 +233,7 @@ def square(a):
     a = _as_tensor(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (2.0 * a.data))
+        return (g * (2.0 * a.data),)
 
     return _make(a.data * a.data, (a,), backward, "square")
 
@@ -229,8 +243,7 @@ def relu(a):
     out_data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))
+        return (g * (a.data > 0.0),)
 
     return _make(out_data, (a,), backward, "relu")
 
@@ -243,8 +256,7 @@ def sigmoid(a):
                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
+        return (g * out_data * (1.0 - out_data),)
 
     return _make(out_data, (a,), backward, "sigmoid")
 
@@ -253,8 +265,7 @@ def log(a):
     a = _as_tensor(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
+        return (g / a.data,)
 
     return _make(np.log(a.data), (a,), backward, "log")
 
@@ -266,8 +277,7 @@ def clamp(a, lo, hi):
     inside = (a.data > lo) & (a.data < hi)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * inside)
+        return (g * inside,)
 
     return _make(out_data, (a,), backward, "clamp")
 
@@ -277,13 +287,7 @@ def tsum(a, axis=None):
     out_data = a.data.sum(axis=axis)
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy() if np.ndim(g) == 0
-                          else np.full(a.data.shape, g))
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+        return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape),)
 
     return _make(out_data, (a,), backward, "sum")
 
@@ -298,8 +302,7 @@ def reshape(a, shape):
     a = _as_tensor(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
+        return (g.reshape(a.data.shape),)
 
     return _make(a.data.reshape(shape), (a,), backward, "reshape")
 
@@ -317,12 +320,23 @@ def take_cells(a, index):
                          f"got {len(index)}")
 
     def backward(g):
-        if a.requires_grad:
-            flat = np.ravel_multi_index(index, a.data.shape)
-            acc = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=a.data.size)
-            a._accumulate(acc.reshape(a.data.shape))
+        flat = np.ravel_multi_index(index, a.data.shape)
+        acc = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=a.data.size)
+        return (acc.reshape(a.data.shape),)
 
     return _make(a.data[index], (a,), backward, "take_cells")
+
+
+def select_channel(x, c):
+    """x[:, c] of a [B,C,...] tensor, keeping the graph connected."""
+    x = _as_tensor(x)
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[:, c] = g
+        return (gx,)
+
+    return _make(x.data[:, c], (x,), backward, "select_channel")
 
 
 # -- convolution kernels (raw numpy, shared by graph ops and their adjoints)
@@ -353,17 +367,6 @@ def conv1d_same_raw(x, w, b, col=None):
     return out
 
 
-def _conv1d_same_backward(w, g, col):
-    """(grad_x, grad_w, grad_b) given the forward's im2col matrix."""
-    Co, Ci, k = w.shape
-    # grad wrt input: correlate g with the tap-flipped, channel-swapped kernel
-    w_flip = np.ascontiguousarray(w[:, :, ::-1].transpose(1, 0, 2))
-    gx = conv1d_same_raw(g, w_flip, None)
-    gw = np.matmul(g, col.transpose(0, 2, 1)).sum(axis=0).reshape(Co, Ci, k)
-    gb = g.sum(axis=(0, 2))
-    return gx, gw, gb
-
-
 def conv1d_same(x, w, b):
     """'Same'-length 1D cross-correlation with zero padding; odd kernels only."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
@@ -380,13 +383,11 @@ def conv1d_same(x, w, b):
     out_data = conv1d_same_raw(x.data, w.data, b.data, col)
 
     def backward(g):
-        gx, gw, gb = _conv1d_same_backward(w.data, g, col)
-        if x.requires_grad:
-            x._accumulate(gx)
-        if w.requires_grad:
-            w._accumulate(gw)
-        if b.requires_grad:
-            b._accumulate(gb)
+        # grad wrt input: correlate g with the tap-flipped, channel-swapped kernel
+        w_flip = np.ascontiguousarray(w.data[:, :, ::-1].transpose(1, 0, 2))
+        gx = conv1d_same_raw(g, w_flip, None)
+        gw = np.matmul(g, col.transpose(0, 2, 1)).sum(axis=0).reshape(Co, Ci, k)
+        return gx, gw, g.sum(axis=(0, 2))
 
     return _make(out_data, (x, w, b), backward, "conv1d_same")
 
@@ -424,31 +425,6 @@ def conv2d_dilated_raw(x, w, b, dilation, col=None):
     return out
 
 
-def _conv2d_dilated_backward(x, w, g, dilation, col=None):
-    B, C, H, W = x.shape
-    Co, Ci, kh, kw = w.shape
-    g2 = g.reshape(B, Co, H * W)
-    gb = g.sum(axis=(0, 2, 3))
-    if kh == 1 and kw == 1:
-        x2 = x.reshape(B, Ci, H * W)
-        gw = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(Co, Ci, 1, 1)
-        gx = np.matmul(w.reshape(Co, Ci).T, g2).reshape(B, Ci, H, W)
-        return gx, gw, gb
-    if col is None:
-        col = _im2col2d(x, kh, kw, dilation)
-    gw = np.matmul(g2, col.transpose(0, 2, 1)).sum(axis=0).reshape(Co, Ci, kh, kw)
-    gcol = np.matmul(w.reshape(Co, Ci * kh * kw).T, g2)
-    gcol = gcol.reshape(B, Ci, kh, kw, H, W)
-    p = dilation * (kh - 1) // 2
-    gxp = np.zeros((B, Ci, H + 2 * p, W + 2 * p))
-    for dy in range(kh):
-        for dx in range(kw):
-            gxp[:, :, dilation * dy:dilation * dy + H,
-                dilation * dx:dilation * dx + W] += gcol[:, :, dy, dx]
-    gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
-    return gx, gw, gb
-
-
 def conv2d_dilated(x, w, b, dilation=1):
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if dilation < 1:
@@ -464,13 +440,24 @@ def conv2d_dilated(x, w, b, dilation=1):
     out_data = conv2d_dilated_raw(x.data, w.data, b.data, dilation, col)
 
     def backward(g):
-        gx, gw, gb = _conv2d_dilated_backward(x.data, w.data, g, dilation, col)
-        if x.requires_grad:
-            x._accumulate(gx)
-        if w.requires_grad:
-            w._accumulate(gw)
-        if b.requires_grad:
-            b._accumulate(gb)
+        B, _, H, W = x.data.shape
+        g2 = g.reshape(B, Co, H * W)
+        gb = g.sum(axis=(0, 2, 3))
+        if col is None:  # 1x1 kernel, no im2col
+            x2 = x.data.reshape(B, Ci, H * W)
+            gw = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(Co, Ci, 1, 1)
+            gx = np.matmul(w.data.reshape(Co, Ci).T, g2).reshape(B, Ci, H, W)
+            return gx, gw, gb
+        gw = np.matmul(g2, col.transpose(0, 2, 1)).sum(axis=0).reshape(Co, Ci, kh, kw)
+        gcol = np.matmul(w.data.reshape(Co, Ci * kh * kw).T, g2)
+        gcol = gcol.reshape(B, Ci, kh, kw, H, W)
+        p = dilation * (kh - 1) // 2
+        gxp = np.zeros((B, Ci, H + 2 * p, W + 2 * p))
+        for dy in range(kh):
+            for dx in range(kw):
+                gxp[:, :, dilation * dy:dilation * dy + H,
+                    dilation * dx:dilation * dx + W] += gcol[:, :, dy, dx]
+        return gxp[:, :, p:p + H, p:p + W], gw, gb
 
     return _make(out_data, (x, w, b), backward, "conv2d_dilated")
 
@@ -494,8 +481,7 @@ def repeat_to_map(vec, axis):
         out_data = np.broadcast_to(vec.data[:, :, None, :], (B, C, T, T)).copy()
 
     def backward(g):
-        if vec.requires_grad:
-            vec._accumulate(g.sum(axis=3) if axis == "start" else g.sum(axis=2))
+        return (g.sum(axis=3) if axis == "start" else g.sum(axis=2),)
 
     return _make(out_data, (vec,), backward, "repeat_to_map")
 
@@ -522,16 +508,13 @@ def assemble_band_maps(starts, ends, band_cells, T):
             out_data[:, C:, s, e0:e1] = end.data[:, :, e0:e1]
 
     def backward(g):
-        for s_t, e_t, runs in zip(starts, ends, band_cells):
-            gs = np.zeros_like(s_t.data)
-            ge = np.zeros_like(e_t.data)
+        gs = [np.zeros_like(x.data) for x in starts]
+        ge = [np.zeros_like(x.data) for x in ends]
+        for gs_b, ge_b, runs in zip(gs, ge, band_cells):
             for s, e0, e1 in runs:
-                gs[:, :, s] += g[:, :C, s, e0:e1].sum(axis=-1)
-                ge[:, :, e0:e1] += g[:, C:, s, e0:e1]
-            if s_t.requires_grad:
-                s_t._accumulate(gs)
-            if e_t.requires_grad:
-                e_t._accumulate(ge)
+                gs_b[:, :, s] += g[:, :C, s, e0:e1].sum(axis=-1)
+                ge_b[:, :, e0:e1] += g[:, C:, s, e0:e1]
+        return (*gs, *ge)
 
     return _make(out_data, (*starts, *ends), backward, "assemble_band_maps")
 
@@ -640,20 +623,15 @@ def band_map_conv(starts, ends, edges, w, b, dilation=1):
         del g_diags
         gw_s = np.zeros((C, K * Co))
         gw_e = np.zeros((C, K * Co))
-        for tensors, seqs, grads, w_x, gw_x in ((starts, seq_s, gU, w_s, gw_s),
-                                                 (ends, seq_e, gV, w_e, gw_e)):
-            for x, seq, gx in zip(tensors, seqs, grads):
+        g_seqs = []
+        for seqs, grads, w_x, gw_x in ((seq_s, gU, w_s, gw_s), (seq_e, gV, w_e, gw_e)):
+            for seq, gx in zip(seqs, grads):
                 # back to [T*B, K*Co], the layout of the forward matmul's output
                 gx = gx.transpose(1, 2, 0, 3).reshape(T * B, K * Co)
-                if x.requires_grad:
-                    x._accumulate(np.matmul(gx, w_x.T).reshape(T, B, C).transpose(1, 2, 0))
-                if w.requires_grad:
-                    gw_x += np.matmul(seq.T, gx)
-        if w.requires_grad:
-            gw = np.concatenate([gw_s, gw_e]).reshape(Ci, kh, kw, Co)
-            w._accumulate(gw.transpose(3, 0, 1, 2))
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
+                g_seqs.append(np.matmul(gx, w_x.T).reshape(T, B, C).transpose(1, 2, 0))
+                gw_x += np.matmul(seq.T, gx)
+        gw = np.concatenate([gw_s, gw_e]).reshape(Ci, kh, kw, Co)
+        return (*g_seqs, gw.transpose(3, 0, 1, 2), g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, (*starts, *ends, w, b), backward, "band_map_conv")
 
@@ -696,21 +674,17 @@ def batchnorm_lite(x, state, train):
     gamma, beta = state.gamma, state.beta
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * x_hat).sum(axis=axes))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=axes))
-        if x.requires_grad:
-            gs = g * gamma.data.reshape(bshape)
-            if train:
-                gx = (inv_std.reshape(bshape) / n) * (
-                    n * gs
-                    - gs.sum(axis=axes).reshape(bshape)
-                    - x_hat * (gs * x_hat).sum(axis=axes).reshape(bshape)
-                )
-            else:
-                gx = gs * inv_std.reshape(bshape)
-            x._accumulate(gx)
+        g_gamma, g_beta = (g * x_hat).sum(axis=axes), g.sum(axis=axes)
+        gs = g * gamma.data.reshape(bshape)
+        if train:
+            gx = (inv_std.reshape(bshape) / n) * (
+                n * gs
+                - gs.sum(axis=axes).reshape(bshape)
+                - x_hat * (gs * x_hat).sum(axis=axes).reshape(bshape)
+            )
+        else:
+            gx = gs * inv_std.reshape(bshape)
+        return gx, g_gamma, g_beta
 
     return _make(out_data, (x, gamma, beta), backward, "batchnorm_lite")
 

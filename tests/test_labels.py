@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smbg.labels import (ActionInstance, TemporalGrid, assign_boundary_labels,
-                         assign_map_labels, build_label_set, ior, iou,
+                         assign_map_labels, build_label_set, interval_ior, ior, iou,
                          load_annotations, save_annotations)
 
 
@@ -36,6 +36,17 @@ class TestIntervalRatios:
 
     def test_iou_degenerate_zero_by_convention(self):
         assert iou((1, 1), (1, 1)) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(1e-9, 30),
+                              st.floats(-50, 50), st.floats(-5, 30)), min_size=1, max_size=40))
+    def test_interval_ior_equals_scalar_ior(self, rows):
+        a0, a_len, b0, b_len = (np.array(c) for c in zip(*rows))
+        a1, b1 = a0 + a_len, b0 + b_len
+        got = interval_ior(a0, a1, b0, b1)
+        want = [ior((float(x0), float(x1)), (float(y0), float(y1)))
+                for x0, x1, y0, y1 in zip(a0, a1, b0, b1)]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestGrid:
@@ -91,6 +102,25 @@ class TestBoundaryLabels:
         g2 = assign_boundary_labels(a[::-1], grid)
         np.testing.assert_array_equal(g1[0], g2[0])
         np.testing.assert_array_equal(g1[1], g2[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.floats(1.0, 500.0),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=6))
+    def test_equals_per_cell_scalar_ior(self, T, duration, spans):
+        grid = TemporalGrid(T, duration)
+        insts = [ActionInstance(min(u, v) * duration, (max(u, v) + 1e-3) * duration)
+                 for u, v in spans]
+        g_s, g_e = assign_boundary_labels(insts, grid)
+        dt = grid.dt
+        want_s, want_e = np.zeros(T), np.zeros(T)
+        for inst in insts:
+            for n in range(T):
+                lo, mid, hi = (np.clip((n + f) * dt, 0, duration) for f in (-0.5, 0.5, 1.5))
+                cell_s, cell_e = (lo, mid), (mid, hi)
+                want_s[n] = max(want_s[n], ior(cell_s, (inst.t_start - dt, inst.t_start + dt)))
+                want_e[n] = max(want_e[n], ior(cell_e, (inst.t_end - dt, inst.t_end + dt)))
+        np.testing.assert_array_equal(g_s, want_s)
+        np.testing.assert_array_equal(g_e, want_e)
 
 
 class TestMapLabels:

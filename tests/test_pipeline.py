@@ -291,6 +291,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=r"RunConfig\.band_spec"):
             tiny_run_config(tmp_path, **kw)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(dilation=0), "dilation must be >= 1"),
+        (dict(temporal_length=0), "temporal length must be >= 1"),
+        (dict(window_mode=True, window_length=0, band_spec=None), "temporal length must be >= 1"),
+    ])
+    def test_model_fields_checked_at_config_time(self, tmp_path, kw, message):
+        with pytest.raises(ValueError, match=f"^RunConfig: {message}"):
+            tiny_run_config(tmp_path, **kw)
+
     def test_model_temporal_length_tracks_mode(self, tmp_path):
         cfg = tiny_run_config(tmp_path, window_mode=True, window_length=32,
                               band_spec={"edges": [0, 8, 32], "kernel_sizes": [3, 5]})

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from smbg import postprocess as pp
 from smbg import tensor as t
-from smbg.labels import TemporalGrid
+from smbg.labels import TemporalGrid, interval_iou
 
 RNG = t.init_rng(31)
 
@@ -141,6 +141,69 @@ class TestSoftNms:
         _, _, out = pp.soft_nms(ts, te, sc, max_out=n, score_floor=0.0)
         assert np.all(np.diff(out) <= 1e-15)
         assert out.max(initial=0.0) <= sc.max() + 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 300), st.sampled_from([0.4, 1e-6, 5.0]),
+           st.sampled_from([1e-4, 0.0]), st.integers(1, 120))
+    def test_equals_index_bookkeeping_oracle(self, seed, n, sigma, floor, max_out):
+        # coarse grids make ties in score and in (start, end), and exact duplicates
+        rng = t.init_rng(seed)
+        ts = rng.integers(0, 20, n).astype(float)
+        te = ts + rng.integers(1, 8, n)
+        sc = rng.integers(0, 6, n) / 5.0
+        dup = rng.integers(0, max(n, 1), n // 4)
+        ts, te, sc = (np.concatenate([a, a[dup]]) for a in (ts, te, sc))
+        perm = rng.permutation(ts.size)
+        ts, te, sc = ts[perm], te[perm], sc[perm]
+        got = pp.soft_nms(ts, te, sc, sigma, floor, max_out)
+        want = soft_nms_oracle(ts, te, sc, sigma, floor, max_out)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_equals_oracle_on_dense_grid(self):
+        T = 100
+        grid = TemporalGrid(T, 73.0)
+        rng = t.init_rng(5)
+        *_, ts, te, sc = pp.fuse_scores(rng.uniform(size=T), rng.uniform(size=T),
+                                        rng.uniform(size=(T, T)), rng.uniform(size=(T, T)), grid)
+        for g, w in zip(pp.soft_nms(ts, te, sc), soft_nms_oracle(ts, te, sc)):
+            np.testing.assert_array_equal(g, w)
+
+
+def soft_nms_oracle(t_starts, t_ends, scores, sigma=pp.SOFT_NMS_SIGMA,
+                    score_floor=pp.SCORE_FLOOR, max_out=pp.MAX_PROPOSALS):
+    """Soft-NMS with explicit alive-index bookkeeping and per-pick tie handling."""
+    t_starts = np.asarray(t_starts, dtype=np.float64).copy()
+    t_ends = np.asarray(t_ends, dtype=np.float64).copy()
+    scores = np.asarray(scores, dtype=np.float64).copy()
+    n = scores.size
+    if n == 0:
+        return t_starts, t_ends, scores
+    alive = np.ones(n, dtype=bool)
+    picked = []
+    while len(picked) < max_out and alive.any():
+        live_idx = np.nonzero(alive)[0]
+        live_scores = scores[live_idx]
+        best = live_scores.max()
+        if best < score_floor:
+            break
+        tied = live_idx[live_scores == best]
+        if tied.size > 1:
+            order = np.lexsort((t_ends[tied], t_starts[tied]))
+            chosen = tied[order[0]]
+        else:
+            chosen = tied[0]
+        picked.append(chosen)
+        alive[chosen] = False
+        rest = np.nonzero(alive)[0]
+        if rest.size:
+            ious = interval_iou(t_starts[chosen], t_ends[chosen], t_starts[rest], t_ends[rest])
+            scores[rest] *= np.exp(-(ious * ious) / sigma)
+    picked = np.array(picked, dtype=int)
+    if picked.size:
+        order = np.lexsort((t_ends[picked], t_starts[picked], -scores[picked]))
+        picked = picked[order]
+    return t_starts[picked], t_ends[picked], scores[picked]
 
 
 def iou_one_vs_many(t0, t1, starts, ends):

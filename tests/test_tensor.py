@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from smbg import tensor as t
+from smbg import losses, pipeline as pl, tensor as t
+from smbg.net import SmbgNet
 from smbg.reference import conv1d_same_ref, conv2d_dilated_ref
 
 RNG = t.init_rng(20240901)
@@ -364,6 +365,56 @@ class TestBackward:
         y = t.add(t.square(x), t.mul(x, 3.0))  # x^2 + 3x -> grad 2x + 3 = 7
         y.backward()
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_wrong_gradient_count_raises(self):
+        x = t.Tensor(np.ones(3), requires_grad=True)
+        y = t._make(x.data * 2.0, (x,), lambda g: (2.0 * g, 2.0 * g), "two_grads_for_one")
+        with pytest.raises(ValueError):
+            t.tsum(y).backward()
+
+    def test_owned_gradient_adopted_views_and_repeats_copied(self):
+        x = t.Tensor(np.ones((2, 3)), requires_grad=True)
+        y = t.Tensor(np.ones((2, 3)), requires_grad=True)
+        z = t.Tensor(np.ones((2, 3)), requires_grad=True)
+        fresh = []
+
+        def backward(g):
+            fresh.append(2.0 * g)
+            return fresh[0], g.reshape(2, 3), g
+
+        t.tsum(t._make(x.data + y.data + z.data, (x, y, z), backward, "probe")).backward()
+        assert x.grad is fresh[0]
+        assert not np.shares_memory(y.grad, z.grad)
+
+        w = t.Tensor(np.ones(3), requires_grad=True)
+        v = t.Tensor(np.ones(3), requires_grad=True)
+        shared = t._make(w.data + v.data, (w, v), lambda g: (g * 1.0,) * 2, "shared")
+        t.tsum(shared).backward()
+        assert not np.shares_memory(w.grad, v.grad)
+        np.testing.assert_array_equal(w.grad, v.grad)
+
+    def test_desk_step_grads_share_no_memory(self):
+        cfg = pl.RunConfig()
+        train_ds, *_ = pl.make_benchmark_datasets(0, n_train=cfg.batch_size, n_eval=1,
+                                                  channels=cfg.in_channels)
+        batch = pl.build_samples(train_ds, cfg)[:cfg.batch_size]
+        net = SmbgNet(cfg.model_config(), seed=0)
+        outputs = net.forward(t.Tensor(np.stack([b["x"] for b in batch])), train=True)
+        g_s, g_e, g_c = (np.stack([b[k] for b in batch]) for k in ("g_s", "g_e", "g_c"))
+        loss, _ = losses.total_loss(outputs, g_s, g_e, g_c, cfg.sampling_config(),
+                                    beta=cfg.guidance_beta, lam=cfg.confidence_lambda)
+        loss.backward()
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        grads = [n.grad for n in nodes.values() if n.grad is not None]
+        assert len(grads) > 100
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
+            assert not any(np.shares_memory(a, n.data) for n in nodes.values())
 
     def test_deterministic(self):
         def run():
