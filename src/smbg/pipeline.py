@@ -102,6 +102,9 @@ class RunConfig:
         if self.map_label_mode not in MAP_LABEL_MODES:
             raise ValueError(f"RunConfig.map_label_mode must be one of {MAP_LABEL_MODES}, "
                              f"got {self.map_label_mode!r}")
+        if self.model_temporal_length < 1:
+            name = "window_length" if self.window_mode else "temporal_length"
+            raise ValueError(f"RunConfig.{name} must be >= 1, got {self.model_temporal_length}")
         if self.band_spec is None:
             self.band_spec = asdict(default_band_spec(self.model_temporal_length))
         try:
@@ -163,52 +166,55 @@ class RunConfig:
 
 def save_features_csv(path, features):
     """Rows = time steps, columns = channels, exact-repr floats."""
-    C, T = features.shape
+    features = np.asarray(features, dtype=np.float64)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow([f"c{i}" for i in range(C)])
-        for ti in range(T):
-            w.writerow([repr(float(v)) for v in features[:, ti]])
+        w.writerow([f"c{i}" for i in range(features.shape[0])])
+        w.writerows(features.T.tolist())
 
 
 def save_features_bin(path, features):
     save_arrays(path, {"kind": "features"}, [("features", features)])
 
 
+def _raise_bad_cell(path, li, row):
+    """Name the first non-numeric or non-finite cell of CSV row li (0-based)."""
+    for ci, v in enumerate(row):
+        try:
+            x = float(v)
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric cell at row {li + 1}, "
+                             f"column {ci + 1}: {v!r}") from None
+        if not math.isfinite(x):
+            raise ValueError(f"{path}: non-finite cell at row {li + 1}, column {ci + 1}")
+
+
 def load_features(path):
     """[channels, T_raw] matrix from CSV or the binary container."""
     if path.endswith(".csv"):
         rows = []
+        width = None
         with open(path, newline="") as f:
-            reader = csv.reader(f)
-            for li, row in enumerate(reader):
+            for li, row in enumerate(csv.reader(f)):
                 if not row:
                     continue
-                if li == 0:
-                    try:
-                        [float(v) for v in row]
-                    except ValueError:
+                try:
+                    vals = list(map(float, row))
+                except ValueError:
+                    if li == 0:
                         continue  # header line
-                rows.append((li, row))
+                    vals = None
+                if width is None:
+                    width = len(row)
+                if len(row) != width:
+                    raise ValueError(f"{path}: ragged row {li + 1} "
+                                     f"(expected {width} columns, got {len(row)})")
+                if vals is None or not all(map(math.isfinite, vals)):
+                    _raise_bad_cell(path, li, row)
+                rows.append(vals)
         if not rows:
             raise ValueError(f"{path}: empty feature file")
-        width = len(rows[0][1])
-        data = np.empty((len(rows), width))
-        for out_i, (li, row) in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"{path}: ragged row {li + 1} "
-                                 f"(expected {width} columns, got {len(row)})")
-            for ci, v in enumerate(row):
-                try:
-                    x = float(v)
-                except ValueError:
-                    raise ValueError(f"{path}: non-numeric cell at row {li + 1}, "
-                                     f"column {ci + 1}: {v!r}") from None
-                if not np.isfinite(x):
-                    raise ValueError(f"{path}: non-finite cell at row {li + 1}, "
-                                     f"column {ci + 1}")
-                data[out_i, ci] = x
-        return data.T.copy()
+        return np.array(rows).T.copy()
     header, arrays = load_arrays(path)
     feats = arrays["features"]
     if not np.all(np.isfinite(feats)):

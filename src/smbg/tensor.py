@@ -251,9 +251,8 @@ def relu(a):
 def sigmoid(a):
     a = _as_tensor(a)
     # stable split form: exp() only ever sees non-positive arguments
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(a.data))
+    out_data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         return (g * out_data * (1.0 - out_data),)
@@ -446,7 +445,8 @@ def conv2d_dilated(x, w, b, dilation=1):
         if col is None:  # 1x1 kernel, no im2col
             x2 = x.data.reshape(B, Ci, H * W)
             gw = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(Co, Ci, 1, 1)
-            gx = np.matmul(w.data.reshape(Co, Ci).T, g2).reshape(B, Ci, H, W)
+            gx = np.empty((B, Ci, H, W))  # owned, so the sweep adopts it
+            np.matmul(w.data.reshape(Co, Ci).T, g2, out=gx.reshape(B, Ci, H * W))
             return gx, gw, gb
         gw = np.matmul(g2, col.transpose(0, 2, 1)).sum(axis=0).reshape(Co, Ci, kh, kw)
         gcol = np.matmul(w.data.reshape(Co, Ci * kh * kw).T, g2)
@@ -659,31 +659,30 @@ def batchnorm_lite(x, state, train):
     axes = (0,) + tuple(range(2, x.data.ndim))
     n = x.data.size // x.data.shape[1]
     bshape = (1, -1) + (1,) * (x.data.ndim - 2)
+    mean = x.data.mean(axis=axes) if train else state.running_mean
+    x_hat = x.data - mean.reshape(bshape)  # centred once, scaled in place below
     if train:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)  # biased
+        var = (x_hat * x_hat).sum(axis=axes) / n  # biased; np.var's own arithmetic
         m = state.momentum
         state.running_mean = (1 - m) * state.running_mean + m * mean
         state.running_var = (1 - m) * state.running_var + m * var
     else:
-        mean = state.running_mean
         var = state.running_var
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat = (x.data - mean.reshape(bshape)) * inv_std.reshape(bshape)
+    x_hat *= inv_std.reshape(bshape)
     out_data = state.gamma.data.reshape(bshape) * x_hat + state.beta.data.reshape(bshape)
     gamma, beta = state.gamma, state.beta
 
     def backward(g):
         g_gamma, g_beta = (g * x_hat).sum(axis=axes), g.sum(axis=axes)
-        gs = g * gamma.data.reshape(bshape)
-        if train:
-            gx = (inv_std.reshape(bshape) / n) * (
-                n * gs
-                - gs.sum(axis=axes).reshape(bshape)
-                - x_hat * (gs * x_hat).sum(axis=axes).reshape(bshape)
-            )
-        else:
-            gx = gs * inv_std.reshape(bshape)
+        scale = (gamma.data * inv_std).reshape(bshape)
+        if not train:
+            return g * scale, g_gamma, g_beta
+        # sum(g*gamma) = gamma*g_beta and sum(g*gamma*x_hat) = gamma*g_gamma
+        gx = n * g
+        gx -= g_beta.reshape(bshape)
+        gx -= x_hat * g_gamma.reshape(bshape)
+        gx *= scale / n
         return gx, g_gamma, g_beta
 
     return _make(out_data, (x, gamma, beta), backward, "batchnorm_lite")

@@ -106,6 +106,17 @@ class TestFeatureFiles:
         with pytest.raises(ValueError, match="row 3, column 1"):
             pl.load_features(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("c0,c1\n1.0,2.0\n3.0,abc\n", "non-numeric cell at row 3, column 2: 'abc'"),
+        ("c0,c1\n1.0,2.0\n\n4.0,inf\n", "non-finite cell at row 4, column 2"),  # blank row 3
+        ("1.0,2.0\nnan,x\n", "non-finite cell at row 2, column 1"),  # first bad cell wins
+    ])
+    def test_bad_cell_named_by_row_and_column(self, tmp_path, text, message):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            pl.load_features(str(path))
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("1.0,2.0\n3.0\n")
@@ -291,13 +302,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=r"RunConfig\.band_spec"):
             tiny_run_config(tmp_path, **kw)
 
+    # a ModelConfig error reads "RunConfig: ...", a RunConfig field "RunConfig.<field> ..."
     @pytest.mark.parametrize("kw, message", [
         (dict(dilation=0), "dilation must be >= 1"),
-        (dict(temporal_length=0), "temporal length must be >= 1"),
-        (dict(window_mode=True, window_length=0, band_spec=None), "temporal length must be >= 1"),
+        (dict(temporal_length=0), "temporal_length must be >= 1, got 0"),
+        (dict(window_mode=True, window_length=0, band_spec=None),
+         "window_length must be >= 1, got 0"),
     ])
     def test_model_fields_checked_at_config_time(self, tmp_path, kw, message):
-        with pytest.raises(ValueError, match=f"^RunConfig: {message}"):
+        with pytest.raises(ValueError, match=rf"^RunConfig(: |\.){message}"):
             tiny_run_config(tmp_path, **kw)
 
     def test_model_temporal_length_tracks_mode(self, tmp_path):

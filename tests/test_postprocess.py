@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smbg import postprocess as pp
 from smbg import tensor as t
-from smbg.labels import TemporalGrid, interval_iou
+from smbg.labels import TemporalGrid, interval_iou, iou
 
 RNG = t.init_rng(31)
 
@@ -206,22 +206,16 @@ def soft_nms_oracle(t_starts, t_ends, scores, sigma=pp.SOFT_NMS_SIGMA,
     return t_starts[picked], t_ends[picked], scores[picked]
 
 
-def iou_one_vs_many(t0, t1, starts, ends):
-    inter = np.maximum(0.0, np.minimum(t1, ends) - np.maximum(t0, starts))
-    union = np.maximum(t1, ends) - np.minimum(t0, starts)
-    return np.where(union > 0, inter / np.maximum(union, 1e-30), 0.0)
-
-
 def greedy_merge_oracle(t_starts, t_ends, scores, iou_threshold=0.95):
     """The all-pairs greedy merge: each candidate, in stable descending-score
-    order, is compared with every interval kept so far."""
+    order, is compared with every interval kept so far through the scalar
+    labels.iou."""
     order = np.argsort(-scores, kind="stable")
     keep_ts, keep_te, keep_sc = [], [], []
     for i in order:
-        if keep_ts:
-            ious = iou_one_vs_many(t_starts[i], t_ends[i], np.array(keep_ts), np.array(keep_te))
-            if ious.max() >= iou_threshold:
-                continue
+        if any(iou((t_starts[i], t_ends[i]), kept) >= iou_threshold
+               for kept in zip(keep_ts, keep_te)):
+            continue
         keep_ts.append(t_starts[i])
         keep_te.append(t_ends[i])
         keep_sc.append(scores[i])
@@ -268,6 +262,9 @@ class TestMergeWindowDuplicates:
     @settings(max_examples=400, deadline=None)
     @given(_merge_candidates(),
            st.sampled_from([0.95, 1.0]) | st.floats(0, 1, exclude_min=True))
+    # two copies of a one-ulp interval below 0: union and intersection are both
+    # the smallest subnormal, so their IoU is exactly 1
+    @example((np.array([0.0, -5e-324, -5e-324]), np.zeros(3), np.full(3, 0.2)), 0.95)
     def test_bit_identical_to_greedy_oracle(self, candidates, thr):
         assert_merge_matches_oracle(*candidates, thr)
 

@@ -5,7 +5,7 @@ import pytest
 
 from smbg import losses, pipeline as pl, tensor as t
 from smbg.net import SmbgNet
-from smbg.reference import conv1d_same_ref, conv2d_dilated_ref
+from smbg.reference import conv1d_same_ref, conv2d_dilated_ref, sigmoid_ref
 
 RNG = t.init_rng(20240901)
 
@@ -105,10 +105,25 @@ class TestConv2dDilated:
         err = gc(lambda i: t.tsum(t.square(t.conv2d_dilated(*i, dilation=d))), [x, w, b])
         assert err < 1e-4
 
+    def test_1x1_adjoint_input_gradient_is_owned(self):
+        rng = t.init_rng(3)
+        x = t.Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        w = rng.standard_normal((6, 3, 1, 1))
+        g = rng.standard_normal((2, 6, 4, 5))
+        gx, _, _ = t.conv2d_dilated(x, w, np.zeros(6))._backward(g)
+        assert gx.base is None and gx.shape == x.shape
+        np.testing.assert_allclose(gx, np.einsum("oc,bohw->bchw", w[:, :, 0, 0], g),
+                                   rtol=1e-12, atol=1e-12)
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert t.sigmoid(t.Tensor([0.0])).data[0] == 0.5
+
+    def test_sigmoid_bit_equal_to_reference(self):
+        x = np.concatenate([[0.0, -0.0, 750.0, -750.0, 709.0, -709.0, 1e-300, -1e-300,
+                             36.7, -36.7], t.init_rng(4).standard_normal(1000) * 20.0])
+        assert t.sigmoid(t.Tensor(x)).data.tobytes() == sigmoid_ref(x).tobytes()
 
     def test_relu_values(self):
         out = t.relu(t.Tensor([-1.0, 2.0]))
@@ -171,6 +186,39 @@ class TestRepeatToMap:
             assert gc(lambda i: t.tsum(t.square(t.repeat_to_map(i[0], axis))), [v]) < 1e-4
 
 
+def batchnorm_lite_oracle(x, state, train, g):
+    """The np.var / gamma-scaled-copy form of batchnorm_lite and its adjoint.
+
+    Returns (out, gx, g_gamma, g_beta) for upstream g and updates the
+    running statistics of `state` in train mode.
+    """
+    axes = (0,) + tuple(range(2, x.ndim))
+    n = x.size // x.shape[1]
+    bshape = (1, -1) + (1,) * (x.ndim - 2)
+    if train:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        m = state.momentum
+        state.running_mean = (1 - m) * state.running_mean + m * mean
+        state.running_var = (1 - m) * state.running_var + m * var
+    else:
+        mean, var = state.running_mean, state.running_var
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    x_hat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
+    out = state.gamma.data.reshape(bshape) * x_hat + state.beta.data.reshape(bshape)
+    g_gamma, g_beta = (g * x_hat).sum(axis=axes), g.sum(axis=axes)
+    gs = g * state.gamma.data.reshape(bshape)
+    if train:
+        gx = (inv_std.reshape(bshape) / n) * (
+            n * gs
+            - gs.sum(axis=axes).reshape(bshape)
+            - x_hat * (gs * x_hat).sum(axis=axes).reshape(bshape)
+        )
+    else:
+        gx = gs * inv_std.reshape(bshape)
+    return out, gx, g_gamma, g_beta
+
+
 class TestBatchNorm:
     def test_train_normalizes(self):
         x = t.Tensor(RNG.standard_normal((8, 3, 10)) * 2.0 + 5.0)
@@ -219,6 +267,35 @@ class TestBatchNorm:
             err = gc(lambda i: t.tsum(t.mul(t.batchnorm_lite(i[0], state, train), r)),
                      [x, state.gamma, state.beta])
             assert err < 1e-4, f"train={train}"
+
+    # desk map width, then the published one
+    @pytest.mark.parametrize("shape", [(16, 16, 100, 100), (4, 128, 100, 100)])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_matches_var_oracle(self, shape, train):
+        C = shape[1]
+
+        def state():
+            rng = t.init_rng(6)
+            s = t.BatchNormState(C)
+            s.gamma.data[...] = rng.standard_normal(C) + 1.5
+            s.beta.data[...] = rng.standard_normal(C)
+            s.running_mean = rng.standard_normal(C)
+            s.running_var = rng.uniform(0.5, 2.0, C)
+            return s
+
+        states = [state(), state()]
+        rng = t.init_rng(5)
+        x = rng.standard_normal(shape) * 2.0 + 0.7
+        g = rng.standard_normal(shape)
+        out = t.batchnorm_lite(t.Tensor(x, requires_grad=True), states[0], train)
+        gx, g_gamma, g_beta = out._backward(g)
+        ref_out, ref_gx, ref_gamma, ref_beta = batchnorm_lite_oracle(x, states[1], train, g)
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert states[0].running_mean.tobytes() == states[1].running_mean.tobytes()
+        assert states[0].running_var.tobytes() == states[1].running_var.tobytes()
+        assert g_gamma.tobytes() == ref_gamma.tobytes()
+        assert g_beta.tobytes() == ref_beta.tobytes()
+        assert np.abs(gx - ref_gx).max() <= 1e-12 * np.abs(ref_gx).max()
 
 
 class TestGatherAssemble:
@@ -393,7 +470,9 @@ class TestBackward:
         assert not np.shares_memory(w.grad, v.grad)
         np.testing.assert_array_equal(w.grad, v.grad)
 
-    def test_desk_step_grads_share_no_memory(self):
+    @staticmethod
+    def _desk_step_graph():
+        """The loss of one desk training step (not yet swept) and its graph's nodes."""
         cfg = pl.RunConfig()
         train_ds, *_ = pl.make_benchmark_datasets(0, n_train=cfg.batch_size, n_eval=1,
                                                   channels=cfg.in_channels)
@@ -403,18 +482,42 @@ class TestBackward:
         g_s, g_e, g_c = (np.stack([b[k] for b in batch]) for k in ("g_s", "g_e", "g_c"))
         loss, _ = losses.total_loss(outputs, g_s, g_e, g_c, cfg.sampling_config(),
                                     beta=cfg.guidance_beta, lam=cfg.confidence_lambda)
-        loss.backward()
         nodes, stack = {}, [loss]
         while stack:
             node = stack.pop()
             if id(node) not in nodes:
                 nodes[id(node)] = node
                 stack.extend(node._parents)
-        grads = [n.grad for n in nodes.values() if n.grad is not None]
+        return loss, list(nodes.values())
+
+    def test_desk_step_adopts_1x1_conv_input_gradients(self):
+        loss, nodes = self._desk_step_graph()
+        returned = {}
+
+        def recording(node, adjoint):
+            def backward(g):
+                grads = adjoint(g)
+                returned[id(node)] = grads[0]
+                return grads
+            return backward
+
+        convs = [n for n in nodes if n.op == "conv2d_dilated"
+                 and n._parents[1].data.shape[2:] == (1, 1)]
+        assert len(convs) == 3  # sec_c1, sec_c2, sec_c3
+        for n in convs:
+            n._backward = recording(n, n._backward)
+        loss.backward()
+        for n in convs:
+            assert id(n._parents[0].grad) == id(returned[id(n)])  # adopted, not copied
+
+    def test_desk_step_grads_share_no_memory(self):
+        loss, nodes = self._desk_step_graph()
+        loss.backward()
+        grads = [n.grad for n in nodes if n.grad is not None]
         assert len(grads) > 100
         for i, a in enumerate(grads):
             assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
-            assert not any(np.shares_memory(a, n.data) for n in nodes.values())
+            assert not any(np.shares_memory(a, n.data) for n in nodes)
 
     def test_deterministic(self):
         def run():
