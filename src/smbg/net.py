@@ -12,12 +12,15 @@ which is what makes the layer cheap compared with dense boundary-matching
 sampling. The production forward never materializes that map: the first
 confidence-head conv reads the band sequences directly
 (``tensor.band_map_conv``). The dense map path (``mpfg_forward`` +
-``sec_head``) stays as the reference it is checked against. The speed
-benchmark (``costmodel.bench``) times the band layer as ``mpfg_forward``
-under ``tensor.no_grad``, the same ops that training runs. A BMN-style
-sampling generator is included purely as the efficiency baseline for the
-cost model and benchmarks; it is the only block here that calls the raw
-numpy kernels directly.
+``sec_head``) stays as the reference it is checked against. Inference
+runs ``SmbgNet.predict``, which computes only the upper-triangle cells it
+returns, with eval batchnorm folded into the 1x1 convs; ``forward`` is
+the training graph and the reference ``predict`` is checked against. The
+speed benchmark (``costmodel.bench``) times the band layer as
+``mpfg_forward`` under ``tensor.no_grad``, the same ops that training
+runs. A BMN-style sampling generator is included purely as the
+efficiency baseline for the cost model and benchmarks; it and
+``predict`` are the only code here that call raw numpy kernels directly.
 """
 
 from __future__ import annotations
@@ -164,8 +167,8 @@ class ModelConfig:
 
 
 class Conv1d:
-    def __init__(self, rng, cin, cout, k):
-        self.w = t.Tensor(t.fan_in_uniform(rng, (cout, cin, k), cin * k), requires_grad=True)
+    def __init__(self, draw, cin, cout, k):
+        self.w = t.Tensor(draw((cout, cin, k), cin * k), requires_grad=True)
         self.b = t.Tensor(np.zeros(cout), requires_grad=True)
 
     def __call__(self, x):
@@ -173,8 +176,8 @@ class Conv1d:
 
 
 class Conv2d:
-    def __init__(self, rng, cin, cout, k, dilation=1):
-        self.w = t.Tensor(t.fan_in_uniform(rng, (cout, cin, k, k), cin * k * k), requires_grad=True)
+    def __init__(self, draw, cin, cout, k, dilation=1):
+        self.w = t.Tensor(draw((cout, cin, k, k), cin * k * k), requires_grad=True)
         self.b = t.Tensor(np.zeros(cout), requires_grad=True)
         self.dilation = dilation
 
@@ -182,29 +185,48 @@ class Conv2d:
         return t.conv2d_dilated(x, self.w, self.b, self.dilation)
 
 
+def _conv_rows(conv, col):
+    """A Conv1d's output at the rows of a time-major im2col [n, B, Ci*k], as [n, B, Co]."""
+    n, B, _ = col.shape
+    w = conv.w.data
+    out = np.matmul(col.reshape(n * B, -1), w.reshape(w.shape[0], -1).T)
+    out += conv.b.data
+    return out.reshape(n, B, -1)
+
+
 class SmbgNet:
     """Base module, boundary head, multilevel band layer and confidence head."""
 
     def __init__(self, config, seed=0):
-        self.config = config
         rng = t.init_rng(seed)
-        c = config
+        self._build(config, lambda shape, fan_in: t.fan_in_uniform(rng, shape, fan_in))
+
+    @classmethod
+    def _unfilled(cls, config):
+        """A net whose conv weights are uninitialized, for a loader to replace."""
+        net = cls.__new__(cls)
+        net._build(config, lambda shape, fan_in: np.empty(shape))
+        return net
+
+    def _build(self, config, draw):
+        """Every layer, in weight-draw order; draw(shape, fan_in) makes a conv weight."""
+        self.config = c = config
         n = c.base_channels
-        self.base1 = Conv1d(rng, c.in_channels, c.base_hidden, 3)
-        self.base2 = Conv1d(rng, c.base_hidden, n, 3)
-        self.start1 = Conv1d(rng, n, c.boundary_hidden, 3)
-        self.start2 = Conv1d(rng, c.boundary_hidden, 1, 1)
-        self.end1 = Conv1d(rng, n, c.boundary_hidden, 3)
-        self.end2 = Conv1d(rng, c.boundary_hidden, 1, 1)
-        self.band_starts = [Conv1d(rng, n, c.band_channels, k) for k in c.band_spec.kernel_sizes]
-        self.band_ends = [Conv1d(rng, n, c.band_channels, k) for k in c.band_spec.kernel_sizes]
-        self.sec_dil = Conv2d(rng, 2 * c.band_channels, c.sec_hidden, 3, dilation=c.dilation)
+        self.base1 = Conv1d(draw, c.in_channels, c.base_hidden, 3)
+        self.base2 = Conv1d(draw, c.base_hidden, n, 3)
+        self.start1 = Conv1d(draw, n, c.boundary_hidden, 3)
+        self.start2 = Conv1d(draw, c.boundary_hidden, 1, 1)
+        self.end1 = Conv1d(draw, n, c.boundary_hidden, 3)
+        self.end2 = Conv1d(draw, c.boundary_hidden, 1, 1)
+        self.band_starts = [Conv1d(draw, n, c.band_channels, k) for k in c.band_spec.kernel_sizes]
+        self.band_ends = [Conv1d(draw, n, c.band_channels, k) for k in c.band_spec.kernel_sizes]
+        self.sec_dil = Conv2d(draw, 2 * c.band_channels, c.sec_hidden, 3, dilation=c.dilation)
         self.sec_bn1 = t.BatchNormState(c.sec_hidden)
-        self.sec_c1 = Conv2d(rng, c.sec_hidden, c.sec_hidden, 1)
+        self.sec_c1 = Conv2d(draw, c.sec_hidden, c.sec_hidden, 1)
         self.sec_bn2 = t.BatchNormState(c.sec_hidden)
-        self.sec_c2 = Conv2d(rng, c.sec_hidden, c.sec_hidden, 1)
+        self.sec_c2 = Conv2d(draw, c.sec_hidden, c.sec_hidden, 1)
         self.sec_bn3 = t.BatchNormState(c.sec_hidden)
-        self.sec_c3 = Conv2d(rng, c.sec_hidden, 2, 1)
+        self.sec_c3 = Conv2d(draw, c.sec_hidden, 2, 1)
         self.masks = build_masks(c.temporal_length, c.band_spec)
         self.cells = band_cells(self.masks)
 
@@ -288,6 +310,46 @@ class SmbgNet:
                             self.sec_dil.b, self.sec_dil.dilation)
         p_c, p_r = self._sec_tail(h, train)
         return {"f_b": f_b, "P_s": p_s, "P_e": p_e, "P_c": p_c, "P_r": p_r}
+
+    def predict(self, x):
+        """Eval-mode (P_s, P_e, P_c, P_r) arrays of features x [B, C, T], no graph.
+
+        Computes only the cells e >= s that inference reads. Band i's start
+        conv runs only at s < T - edges[i] and its end conv only at
+        e >= edges[i], both from one time-major im2col; sec_dil runs on the
+        packed upper triangle (tensor.band_map_conv_upper); each eval
+        batchnorm is folded into the 1x1 conv after it. P_c and P_r are
+        [B, T, T] maps whose cells e < s are exactly 0. Equals
+        forward(x, train=False) on the cells e >= s to rounding; P_s and P_e
+        are bit-equal.
+        """
+        c = self.config
+        T = c.temporal_length
+        edges = c.band_spec.edges
+        with t.no_grad():
+            f_b = self.base_module(t.Tensor(x))
+            p_s, p_e = self.boundary_head(f_b)
+            starts, ends = [], []
+            for lo, k, s_conv, e_conv in zip(edges, c.band_spec.kernel_sizes,
+                                             self.band_starts, self.band_ends):
+                col = t.im2col1d_time_major(f_b.data, k)
+                starts.append(_conv_rows(s_conv, col[:T - lo]))
+                ends.append(_conv_rows(e_conv, col[lo:]))
+            h = t.band_map_conv_upper(starts, ends, edges, self.sec_dil.w.data,
+                                      self.sec_dil.b.data, self.sec_dil.dilation)
+            P, B, H = h.shape
+            h = h.reshape(P * B, H)
+            for bn, conv in ((self.sec_bn1, self.sec_c1), (self.sec_bn2, self.sec_c2),
+                             (self.sec_bn3, self.sec_c3)):
+                w, b = t.fold_batchnorm(bn, conv.w.data[:, :, 0, 0], conv.b.data)
+                np.maximum(h, 0.0, out=h)
+                h = np.matmul(h, w.T)
+                h += b
+            out = t.sigmoid(h).data.reshape(P, B, 2)
+        maps = np.zeros((2, B, T, T))
+        rows, cols = t.upper_cells(T)
+        maps[:, :, rows, cols] = out.transpose(2, 1, 0)
+        return p_s.data, p_e.data, maps[0], maps[1]
 
 
 def mpfg_naive_oracle(f_b, spec, net):
@@ -458,9 +520,12 @@ def load_arrays(path):
             raise ValueError(f"{path}: malformed container header ({e})") from None
         out = {}
         for name, shape in manifest:
-            n = int(np.prod(shape)) if shape else 1
-            buf = _read_exact(f, 8 * n, path, f"array {name!r}")
-            out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            a = np.empty(shape, dtype="<f8")
+            got = f.readinto(a.reshape(-1).view(np.uint8))  # straight into the array
+            if got != a.nbytes:
+                raise ValueError(f"{path}: truncated in array {name!r} "
+                                 f"(expected {a.nbytes} bytes, got {got})")
+            out[name] = a
         extra = os.fstat(f.fileno()).st_size - f.tell()
         if extra:
             last = f"after array {manifest[-1][0]!r}" if manifest else "after the header"
@@ -480,9 +545,13 @@ def save_checkpoint(path, net, extra_header=None, optimizer=None):
 
 
 def net_from_arrays(header, arrays, where):
-    """Rebuild a SmbgNet from a checkpoint's header and arrays."""
+    """Rebuild a SmbgNet from a checkpoint's header and arrays.
+
+    No weights are drawn: each parameter holds its float64 array from
+    `arrays` itself, not a copy; buffers are copied.
+    """
     config = ModelConfig(**drop_mask_mode(header["model_config"], where))
-    net = SmbgNet(config, seed=0)
+    net = SmbgNet._unfilled(config)
     targets = [("parameter", n, p.data) for n, p in net.named_parameters()]
     targets += [("buffer", n, b) for n, b in net.named_buffers()]
     for kind, name, dst in targets:
@@ -491,7 +560,10 @@ def net_from_arrays(header, arrays, where):
         if arrays[name].shape != dst.shape:
             raise ValueError(f"{where}: shape mismatch for {kind} {name!r}: "
                              f"file {arrays[name].shape} vs model {dst.shape}")
-        dst[...] = arrays[name]
+    for name, p in net.named_parameters():
+        p.data = np.asarray(arrays[name], dtype=np.float64)
+    for name, buf in net.named_buffers():
+        buf[...] = arrays[name]
     return net
 
 

@@ -496,11 +496,12 @@ def train(config, dataset, resume=None):
 # -- inference --------------------------------------------------------------
 
 def _forward_arrays(net, x_batch, what):
-    """(P_s, P_e, P_c, P_r) arrays; a non-finite output raises, naming `what`."""
-    with t.no_grad():
-        out = net.forward(t.Tensor(x_batch), train=False)
-    keys = ("P_s", "P_e", "P_c", "P_r")
-    return tuple(out[k].assert_finite(f"{k} of {what}").data for k in keys)
+    """(P_s, P_e, P_c, P_r) arrays of SmbgNet.predict, the one inference forward;
+    a non-finite output raises, naming `what`."""
+    out = net.predict(x_batch)
+    for key, a in zip(("P_s", "P_e", "P_c", "P_r"), out):
+        t.assert_finite(a, f"{key} of {what}")
+    return out
 
 
 def _check_channels(vid, video, net, checkpoint_path):

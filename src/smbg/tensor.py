@@ -16,10 +16,14 @@ parent's shape and dtype; anything else is copied. So no two ``.grad``
 arrays share memory, and none shares memory with a node's ``.data``.
 
 Under ``no_grad`` an op keeps no parents and no adjoint, so the graph ops
-are also the inference and benchmark path. The raw numpy kernels
-(``conv1d_same_raw``, ``conv2d_dilated_raw``) are what the graph ops and
-their adjoints run; outside this module only the boundary-matching
-baseline and the tests call them.
+are also the reference and benchmark path. The raw numpy
+kernels (``conv1d_same_raw``, ``conv2d_dilated_raw``) are what the graph
+ops and their adjoints run; outside this module only the
+boundary-matching baseline and the tests call them.
+``im2col1d_time_major``, ``band_map_conv_upper`` and ``fold_batchnorm``
+serve the eval-mode ``SmbgNet.predict`` alone: band convs on the times
+they are read at, the first map conv on the upper triangle only, packed,
+and eval batchnorm folded into the 1x1 conv after it.
 """
 
 from __future__ import annotations
@@ -89,13 +93,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(()))
-
-    def assert_finite(self, what="tensor"):
-        """NaN/Inf is a contract violation; raise with a location."""
-        if not np.all(np.isfinite(self.data)):
-            bad = np.argwhere(~np.isfinite(self.data))[0]
-            raise FloatingPointError(f"non-finite value in {what} at index {tuple(bad)}")
-        return self
 
     def zero_grad(self):
         self.grad = None
@@ -168,6 +165,14 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
+
+
+def assert_finite(data, what="array"):
+    """NaN/Inf is a contract violation: raise FloatingPointError naming `what`
+    and the first non-finite index."""
+    if not np.all(np.isfinite(data)):
+        bad = np.argwhere(~np.isfinite(data))[0]
+        raise FloatingPointError(f"non-finite value in {what} at index {tuple(bad.tolist())}")
 
 
 def _adoptable(gp, g, grads, like):
@@ -353,6 +358,16 @@ def _im2col1d(x, k):
     s0, s1, s2 = xp.strides
     col = as_strided(xp, (B, C, k, T), (s0, s1, s2, s2))
     return np.ascontiguousarray(col).reshape(B, C * k, T)
+
+
+def im2col1d_time_major(x, k):
+    """Contiguous [T, B, C*k] patch matrix of the zero-padded input; row t holds
+    the windows of output time t, so a run of times is one contiguous slice."""
+    B, C, T = x.shape
+    xp = _pad1d(x, (k - 1) // 2)
+    s0, s1, s2 = xp.strides
+    col = as_strided(xp, (T, B, C, k), (s2, s0, s1, s2))
+    return np.ascontiguousarray(col).reshape(T, B, C * k)
 
 
 def conv1d_same_raw(x, w, b, col=None):
@@ -549,6 +564,39 @@ def _band_map_plan(T, edges, k, dilation):
     return tuple(plan)
 
 
+def _kernel_halves(w, C):
+    """[C, K*Co] start and end halves of a [Co, 2C, k, k] kernel, column tap*Co + o
+    with tap = dy*k + dx."""
+    Co, _, kh, kw = w.shape
+    return (w[:, :C].transpose(1, 2, 3, 0).reshape(C, kh * kw * Co),
+            w[:, C:].transpose(1, 2, 3, 0).reshape(C, kh * kw * Co))
+
+
+def _tap_products(seq, w_half, T, t0, K):
+    """U[tap, t] = (W_tap half @ S)[:, :, t] as [K, T, B, Co] from a time-major
+    [n, B, C] sequence holding times t0 .. t0+n-1; other times are left unset."""
+    n, B, C = seq.shape
+    Co = w_half.shape[1] // K
+    out = np.empty((K, T, B, Co))
+    out[:, t0:t0 + n] = np.matmul(seq.reshape(n * B, C), w_half).reshape(
+        n, B, K, Co).transpose(2, 0, 1, 3)
+    return out
+
+
+def _diagonal_sums(U, V, plan, b, diagonals):
+    """The slice sums of band_map_conv, one output diagonal per plan entry.
+
+    diagonals yields one [T', B, Co] array per (d, entries) of plan, indexed
+    by start s; each is set to b plus its entries' slices of U and V.
+    """
+    for (_, entries), acc in zip(plan, diagonals, strict=True):
+        acc[...] = b
+        for band, tap, lo, hi, u0, v0 in entries:
+            n = hi - lo
+            acc[lo:hi] += U[band][tap, u0:u0 + n]
+            acc[lo:hi] += V[band][tap, v0:v0 + n]
+
+
 def band_map_conv(starts, ends, edges, w, b, dilation=1):
     """Dilated 'same' conv over the duration-band proposal map, never built.
 
@@ -583,24 +631,15 @@ def band_map_conv(starts, ends, edges, w, b, dilation=1):
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     K = kh * kw
     plan = _band_map_plan(T, edges, kh, int(dilation))
-    # [C, K*Co] halves of the kernel, column tap*Co + o with tap = dy*kw + dx
-    w_s = w.data[:, :C].transpose(1, 2, 3, 0).reshape(C, K * Co)
-    w_e = w.data[:, C:].transpose(1, 2, 3, 0).reshape(C, K * Co)
-    # Time-major [T*B, C] sequences, so U[band][tap, s] = (W_tap[:, :C] @ S)[:, :, s]
-    # is one contiguous [B, Co] block and a run of starts is one contiguous slice.
-    seq_s = [x.data.transpose(2, 0, 1).reshape(T * B, C) for x in starts]
-    seq_e = [x.data.transpose(2, 0, 1).reshape(T * B, C) for x in ends]
-    U = [np.matmul(x, w_s).reshape(T, B, K, Co).transpose(2, 0, 1, 3).copy() for x in seq_s]
-    V = [np.matmul(x, w_e).reshape(T, B, K, Co).transpose(2, 0, 1, 3).copy() for x in seq_e]
+    w_s, w_e = _kernel_halves(w.data, C)
+    # time-major [T, B, C], so a run of starts is one contiguous slice
+    seq_s = [np.ascontiguousarray(x.data.transpose(2, 0, 1)) for x in starts]
+    seq_e = [np.ascontiguousarray(x.data.transpose(2, 0, 1)) for x in ends]
+    U = [_tap_products(x, w_s, T, 0, K) for x in seq_s]
+    V = [_tap_products(x, w_e, T, 0, K) for x in seq_e]
     # diagonal-major output: diags[d + T-1, s] is cell (s, s+d)
     diags = np.empty((2 * T - 1, T, B, Co))
-    for d, entries in plan:
-        acc = diags[d + T - 1]
-        acc[...] = b.data
-        for band, tap, lo, hi, u0, v0 in entries:
-            n = hi - lo
-            acc[lo:hi] += U[band][tap, u0:u0 + n]
-            acc[lo:hi] += V[band][tap, v0:v0 + n]
+    _diagonal_sums(U, V, plan, b.data, diags)
     del U, V
     # row s of the map is diags[T-1-s : 2T-1-s, s]; one small transpose per row
     out_data = np.empty((B, Co, T, T))
@@ -629,11 +668,46 @@ def band_map_conv(starts, ends, edges, w, b, dilation=1):
                 # back to [T*B, K*Co], the layout of the forward matmul's output
                 gx = gx.transpose(1, 2, 0, 3).reshape(T * B, K * Co)
                 g_seqs.append(np.matmul(gx, w_x.T).reshape(T, B, C).transpose(1, 2, 0))
-                gw_x += np.matmul(seq.T, gx)
+                gw_x += np.matmul(seq.reshape(T * B, C).T, gx)
         gw = np.concatenate([gw_s, gw_e]).reshape(Ci, kh, kw, Co)
         return (*g_seqs, gw.transpose(3, 0, 1, 2), g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, (*starts, *ends, w, b), backward, "band_map_conv")
+
+
+@lru_cache(maxsize=16)
+def upper_cells(T):
+    """(rows, cols) of the T(T+1)/2 cells e >= s of a T x T map in packed order:
+    diagonal d = e - s from 0 to T-1, each diagonal by start s. Read-only."""
+    rows = np.concatenate([np.arange(T - d) for d in range(T)])
+    cols = rows + np.repeat(np.arange(T), np.arange(T, 0, -1))
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def band_map_conv_upper(starts, ends, edges, w, b, dilation=1):
+    """band_map_conv on the cells e >= s only, packed; raw arrays, no graph.
+
+    A tap never reads below the diagonal, and a band-i cell (s, e) has
+    e - s >= edges[i], so band i's start sequence is read only at
+    s < T - edges[i] and its end sequence only at e >= edges[i]. The
+    sequences are time-major: starts[i] is [T - edges[i], B, C] holding
+    s = 0 .. T-edges[i]-1, and ends[i] is [T - edges[i], B, C] holding
+    e = edges[i] .. T-1. Returns [T(T+1)/2, B, Co] in upper_cells(T) order.
+    """
+    edges = tuple(int(e) for e in edges)
+    T = edges[-1]
+    _, B, C = starts[0].shape
+    Co, _, k, _ = w.shape
+    K = k * k
+    plan = _band_map_plan(T, edges, k, int(dilation))
+    w_s, w_e = _kernel_halves(w, C)
+    U = [_tap_products(x, w_s, T, 0, K) for x in starts]
+    V = [_tap_products(x, w_e, T, lo, K) for x, lo in zip(ends, edges)]
+    out = np.empty((T * (T + 1) // 2, B, Co))
+    # plan[T-1:] are the diagonals d >= 0; diagonal d is T - d packed rows
+    _diagonal_sums(U, V, plan[T - 1:], b, np.split(out, np.cumsum(np.arange(T, 1, -1))))
+    return out
 
 
 class BatchNormState:
@@ -686,6 +760,18 @@ def batchnorm_lite(x, state, train):
         return gx, g_gamma, g_beta
 
     return _make(out_data, (x, gamma, beta), backward, "batchnorm_lite")
+
+
+def fold_batchnorm(state, w, b):
+    """(W', b') of a 1x1 conv (w [Co, Ci], b) applied to eval-mode batchnorm_lite output.
+
+    Eval batchnorm is the per-channel affine map y = a*x + c with
+    a = gamma / sqrt(running_var + eps) and c = beta - running_mean*a, so
+    W y + b = W' x + b' with W' = W diag(a) and b' = b + W c.
+    """
+    a = state.gamma.data / np.sqrt(state.running_var + state.eps)
+    c = state.beta.data - state.running_mean * a
+    return w * a, b + w @ c
 
 
 # -- verification and optimization ------------------------------------

@@ -235,6 +235,117 @@ class TestFusedForward:
         assert net.sec_dil.w.grad is not None and net.band_starts[0].w.grad is not None
 
 
+def _non_identity_batchnorm(net, seed):
+    """Running statistics and affine far from a fresh BatchNormState's near-identity."""
+    rng = t.init_rng(seed)
+    for bn in (net.sec_bn1, net.sec_bn2, net.sec_bn3):
+        n = bn.gamma.data.size
+        bn.running_mean = rng.normal(0.0, 0.7, n)
+        bn.running_var = rng.uniform(0.2, 4.0, n)
+        bn.gamma.data[...] = rng.uniform(0.3, 2.5, n) * rng.choice([-1.0, 1.0], n)
+        bn.beta.data[...] = rng.normal(0.0, 0.5, n)
+
+
+def _predict_cases():
+    from smbg import costmodel, pipeline as pl
+    return [
+        ("desk_T100_B16", pl.RunConfig().model_config(), 16),
+        ("published_B2", costmodel.full_scale_model_config(), 2),
+        ("T16_odd_bands_dilation9",
+         tiny_config(T=16, bands=BandSpec([0, 1, 6, 16], [5, 3, 9]), band_channels=3,
+                     sec_hidden=5, dilation=9), 3),
+        ("window_T128", pl.RunConfig(window_mode=True).model_config(), 3),
+    ]
+
+
+class TestPredict:
+    """predict() is the eval forward on the upper triangle; forward(x, train=False) is its reference."""
+
+    @pytest.mark.parametrize("config,B", [c[1:] for c in _predict_cases()],
+                             ids=[c[0] for c in _predict_cases()])
+    def test_matches_eval_forward_on_valid_cells(self, config, B):
+        net = SmbgNet(config, seed=21)
+        _non_identity_batchnorm(net, seed=22)
+        T = config.temporal_length
+        x = RNG.standard_normal((B, config.in_channels, T))
+        with t.no_grad():
+            want = net.forward(t.Tensor(x), train=False)
+        got = dict(zip(("P_s", "P_e", "P_c", "P_r"), net.predict(x)))
+        np.testing.assert_array_equal(got["P_s"], want["P_s"].data)
+        np.testing.assert_array_equal(got["P_e"], want["P_e"].data)
+        upper = np.triu(np.ones((T, T), dtype=bool))
+        for key in ("P_c", "P_r"):
+            assert got[key].shape == (B, T, T)
+            assert np.abs(got[key][:, upper] - want[key].data[:, upper]).max() <= 1e-12
+            assert np.all(got[key][:, ~upper] == 0.0)
+
+    def test_band_convs_run_only_where_read(self, monkeypatch):
+        cfg = tiny_config(T=16, bands=BandSpec([0, 1, 6, 16], [5, 3, 9]), dilation=9)
+        seen = []
+        upper = t.band_map_conv_upper
+
+        def spy(starts, ends, edges, *rest):
+            seen.append(([x.shape[0] for x in starts], [x.shape[0] for x in ends]))
+            return upper(starts, ends, edges, *rest)
+
+        monkeypatch.setattr(t, "band_map_conv_upper", spy)
+        SmbgNet(cfg, seed=3).predict(RNG.standard_normal((2, 3, 16)))
+        assert seen == [([16, 15, 10], [16, 15, 10])]
+
+    def test_folded_batchnorm_is_the_eval_affine(self):
+        net = SmbgNet(tiny_config(sec_hidden=6), seed=4)
+        _non_identity_batchnorm(net, seed=5)
+        h = RNG.standard_normal((3, 6, 8, 8))
+        w, b = net.sec_c1.w.data, net.sec_c1.b.data
+        with t.no_grad():
+            want = net.sec_c1(t.batchnorm_lite(t.Tensor(h), net.sec_bn1, False)).data
+        w2, b2 = t.fold_batchnorm(net.sec_bn1, w[:, :, 0, 0], b)
+        got = np.einsum("oc,bchw->bohw", w2, h) + b2[:, None, None]
+        assert np.abs(got - want).max() <= 1e-12
+
+
+class TestTrimBound:
+    """Band i's start sequence is read only at s < T - edges[i], its end sequence
+    only at e >= edges[i]: values elsewhere change no cell and get no gradient."""
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("bands,dilation", [(BandSpec([0, 1, 6, 16], [5, 3, 9]), 9),
+                                                (BandSpec([0, 4, 9, 16], [3, 5, 7]), 2)])
+    def test_unread_band_positions_change_no_cell(self, monkeypatch, train, bands, dilation):
+        cfg = tiny_config(T=16, bands=bands, band_channels=3, sec_hidden=5,
+                          dilation=dilation)
+        x = t.Tensor(RNG.standard_normal((2, 3, 16)))
+        noise = t.init_rng(9)
+        outs, seqs = [], []
+        for perturb in (False, True):
+            net = SmbgNet(cfg, seed=8)
+            _non_identity_batchnorm(net, seed=10)
+            band_sequences = net.band_sequences
+
+            def spied(f_b, perturb=perturb):
+                starts, ends = band_sequences(f_b)
+                for lo, s, e in zip(bands.edges, starts, ends):
+                    if perturb:  # only where the trim bound says nothing reads
+                        s.data[:, :, 16 - lo:] += noise.normal(0, 50, (2, 3, lo))
+                        e.data[:, :, :lo] += noise.normal(0, 50, (2, 3, lo))
+                seqs.append((starts, ends))
+                return starts, ends
+
+            monkeypatch.setattr(net, "band_sequences", spied)
+            out = net.forward(x, train=train)
+            if train:
+                t.tsum(t.mul(t.add(out["P_c"], out["P_r"]),
+                             RNG.standard_normal(out["P_c"].shape))).backward()
+            outs.append((out["P_c"].data, out["P_r"].data))
+        for got, want in zip(*outs):
+            np.testing.assert_array_equal(got, want)  # all T*T cells
+        if train:
+            starts, ends = seqs[1]
+            for lo, s, e in zip(bands.edges, starts, ends):
+                assert np.all(s.grad[:, :, 16 - lo:] == 0) and np.all(e.grad[:, :, :lo] == 0)
+                assert np.any(s.grad[:, :, :16 - lo] != 0) and np.any(e.grad[:, :, lo:] != 0)
+
+
 class TestSecHead:
     def test_outputs_in_unit_interval(self):
         net = SmbgNet(tiny_config(), seed=3)

@@ -52,16 +52,17 @@ def two_branch_infer(config, checkpoint_path, dataset):
 
     Rescale mode forwards batches of rescaled videos; window mode forwards
     all windows of one video at once, ignores batch_size and never clamps
-    ends to the duration. Returns {vid: [(t_start, t_end, score)]}.
+    ends to the duration. The network runs through pl._forward_arrays, so
+    this checks the video-to-view mapping exactly; the network itself is
+    checked against forward(x, train=False) in tests/test_net.py.
+    Returns {vid: [(t_start, t_end, score)]}.
     """
     net, _ = load_checkpoint(checkpoint_path)
     T = net.config.temporal_length
     nms = (config.snms_sigma, config.snms_floor, config.max_proposals)
 
     def forward(x):
-        with t.no_grad():
-            out = net.forward(t.Tensor(x), train=False)
-        return [out[k].data for k in ("P_s", "P_e", "P_c", "P_r")]
+        return pl._forward_arrays(net, x, "oracle batch")
 
     vids = sorted(dataset)
     proposals = {}
@@ -476,13 +477,13 @@ class TestInference:
         ckpt = str(tmp_path / "init.ckpt")
         save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
         batches = []
-        forward = SmbgNet.forward
+        predict = SmbgNet.predict
 
-        def counting_forward(net, x, train=False):
+        def counting_predict(net, x):
             batches.append(x.shape[0])
-            return forward(net, x, train=train)
+            return predict(net, x)
 
-        monkeypatch.setattr(SmbgNet, "forward", counting_forward)
+        monkeypatch.setattr(SmbgNet, "predict", counting_predict)
         (plist,) = pl.infer(cfg, ckpt, ds, str(tmp_path / "b4.json")).values()
         assert batches == [4, 4, 1]
         assert 0 < len(plist) <= cfg.max_proposals
@@ -495,6 +496,29 @@ class TestInference:
         pl.infer(cfg16, ckpt, ds, str(tmp_path / "b16.json"))
         assert batches == [9]
         assert (tmp_path / "b4.json").read_bytes() == (tmp_path / "b16.json").read_bytes()
+
+    def test_runs_predict_without_batchnorm_or_map_convs(self, tmp_path, monkeypatch):
+        cfg = tiny_run_config(tmp_path)
+        spec = pl.SyntheticSpec(num_videos=5, channels=4, seed=2, duration_range=(30, 60))
+        ds, _ = pl.synth_dataset(spec)
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inference ran a full-map op")
+
+        for name in ("batchnorm_lite", "conv2d_dilated", "band_map_conv"):
+            monkeypatch.setattr(t, name, refuse)
+        batches = []
+        predict = SmbgNet.predict
+
+        def counting_predict(net, x):
+            batches.append(x.shape[0])
+            return predict(net, x)
+
+        monkeypatch.setattr(SmbgNet, "predict", counting_predict)
+        props = pl.infer(cfg, ckpt, ds)
+        assert batches == [4, 1] and all(props.values())
 
     def test_non_finite_outputs_name_the_videos(self, tmp_path):
         cfg = tiny_run_config(tmp_path)

@@ -348,19 +348,22 @@ def _dense_band_map_conv(starts, ends, edges, w, b, dilation):
     return t.conv2d_dilated(f_p, w, b, dilation)
 
 
+BAND_MAP_CASES = [
+    (8, [0, 3, 8], 2, 3, 5),
+    (8, [0, 8], 1, 2, 4),            # single band
+    (8, [0, 1, 2, 8], 4, 2, 3),      # dilation = T/2, one-diagonal bands
+    (16, [0, 5, 11, 16], 3, 4, 2),
+    (16, [0, 16], 9, 3, 3),          # single band, dilation > T/2
+    (16, [0, 4, 16], 15, 2, 5),      # taps reach only the main diagonal
+    (100, [0, 17, 33, 57, 100], 7, 3, 4),
+    (100, [0, 100], 50, 2, 3),
+]
+
+
 class TestBandMapConv:
     """band_map_conv against the dense assemble_band_maps + conv2d_dilated path."""
 
-    @pytest.mark.parametrize("T,edges,dilation,C,Co", [
-        (8, [0, 3, 8], 2, 3, 5),
-        (8, [0, 8], 1, 2, 4),            # single band
-        (8, [0, 1, 2, 8], 4, 2, 3),      # dilation = T/2, one-diagonal bands
-        (16, [0, 5, 11, 16], 3, 4, 2),
-        (16, [0, 16], 9, 3, 3),          # single band, dilation > T/2
-        (16, [0, 4, 16], 15, 2, 5),      # taps reach only the main diagonal
-        (100, [0, 17, 33, 57, 100], 7, 3, 4),
-        (100, [0, 100], 50, 2, 3),
-    ])
+    @pytest.mark.parametrize("T,edges,dilation,C,Co", BAND_MAP_CASES)
     def test_matches_dense_on_every_cell(self, T, edges, dilation, C, Co):
         starts, ends, w, b = _band_inputs(2, C, Co, T, edges)
         got = t.band_map_conv(starts, ends, edges, w, b, dilation).data
@@ -369,6 +372,25 @@ class TestBandMapConv:
         assert np.abs(got - want).max() <= 1e-12
         # the lower triangle is not zero: taps reach across the diagonal
         assert np.abs(got[:, :, 1, 0] - b.data).max() > 0
+
+    @pytest.mark.parametrize("T,edges,dilation,C,Co", BAND_MAP_CASES)
+    def test_upper_matches_graph_op_on_upper_cells(self, T, edges, dilation, C, Co):
+        starts, ends, w, b = _band_inputs(2, C, Co, T, edges)
+        want = t.band_map_conv(starts, ends, edges, w, b, dilation).data
+        # time-major, only the times each band reads
+        read_s = [x.data[:, :, :T - lo].transpose(2, 0, 1) for x, lo in zip(starts, edges)]
+        read_e = [x.data[:, :, lo:].transpose(2, 0, 1) for x, lo in zip(ends, edges)]
+        got = t.band_map_conv_upper(read_s, read_e, edges, w.data, b.data, dilation)
+        rows, cols = t.upper_cells(T)
+        assert got.shape == (T * (T + 1) // 2, 2, Co)
+        assert np.abs(got.transpose(1, 2, 0) - want[:, :, rows, cols]).max() <= 1e-12
+
+    def test_upper_cells_packed_by_diagonal(self):
+        rows, cols = t.upper_cells(5)
+        assert sorted(zip(rows, cols)) == [(s, e) for s in range(5) for e in range(s, 5)]
+        assert list(zip(rows, cols))[:7] == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4),
+                                             (0, 1), (1, 2)]
+        assert not rows.flags.writeable and not cols.flags.writeable
 
     @pytest.mark.parametrize("T,edges,dilation", [(8, [0, 3, 8], 2), (16, [0, 5, 11, 16], 7)])
     def test_adjoint_matches_dense_adjoint(self, T, edges, dilation):
@@ -587,9 +609,8 @@ class TestAdam:
 
 class TestMisc:
     def test_assert_finite(self):
-        bad = t.Tensor([1.0, np.nan])
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            bad.assert_finite("probe")
+        with pytest.raises(FloatingPointError, match=r"non-finite value in probe at index \(1,\)"):
+            t.assert_finite(np.array([1.0, np.nan]), "probe")
 
     def test_no_grad_skips_graph(self):
         x = t.Tensor([1.0], requires_grad=True)
