@@ -79,13 +79,25 @@ def merge_window_duplicates(t_starts, t_ends, scores, iou_threshold=0.95):
     some already kept interval has IoU >= iou_threshold with it. Returns
     the kept (t_starts, t_ends, scores) in that order.
 
-    Only kept intervals whose start lies near the candidate's are compared.
-    IoU >= thr > 0 needs an overlap, and then union - inter =
-    |d_start| + |d_end| while inter <= len, so |d_start| <= (1/thr - 1) * len
-    for the candidate's own length len. The IoU and the window bounds carry
+    Only intervals whose start and end both lie near the candidate's own
+    are compared. IoU >= thr > 0 needs an overlap, and then union - inter =
+    |d_start| + |d_end| while inter <= len, so |d_start| + |d_end| <=
+    (1/thr - 1) * len for the candidate's own length len: each endpoint lies
+    within that reach of the candidate's. The IoU and the box bounds carry
     relative rounding errors of a few ulp; the reach is widened far beyond
     that (1e-9 of itself and of the endpoint magnitudes), so no pair whose
-    computed IoU reaches the threshold falls outside the window.
+    computed IoU reaches the threshold falls outside the box. An interval
+    of length <= 0 has IoU 0 with everything: it is always kept and never
+    compared.
+
+    The boxes are searched on a (start, end) index (see _Boxes), in
+    score-ordered blocks of _MERGE_BLOCK candidates. A block is first
+    checked in bulk against the intervals kept by earlier blocks; its
+    survivors are then checked against each other, and the pairs among
+    them that conflict are settled in score order. Pairs are expanded at
+    most _PAIR_BUDGET at a time (more only where one candidate's box holds
+    more), so memory stays linear in the number of candidates however
+    densely they pile up.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
@@ -93,28 +105,114 @@ def merge_window_duplicates(t_starts, t_ends, scores, iou_threshold=0.95):
     t_ends = np.asarray(t_ends, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    by_start = np.argsort(t_starts, kind="stable")
-    sorted_ts, sorted_te = t_starts[by_start], t_ends[by_start]
-    rank = np.empty_like(by_start)
-    rank[by_start] = np.arange(by_start.size)
-    width = np.maximum(t_ends - t_starts, 0.0)
-    with np.errstate(over="ignore"):
-        reach = (width / iou_threshold - width) * (1 + 1e-9)
-    reach += 1e-9 * (np.abs(t_starts) + np.abs(t_ends))
-    lo = np.searchsorted(sorted_ts, t_starts - reach, side="left")
-    hi = np.searchsorted(sorted_ts, t_starts + reach, side="right")
-    kept = np.zeros(by_start.size, dtype=bool)
-    keep = []
-    for i in order:
-        near = np.flatnonzero(kept[lo[i]:hi[i]]) + lo[i]
-        if near.size:
-            ious = interval_iou(t_starts[i], t_ends[i], sorted_ts[near], sorted_te[near])
-            if ious.max() >= iou_threshold:
+    boxes = _Boxes(t_starts, t_ends, iou_threshold)
+    ts, te = boxes.ts, boxes.te
+    seq = boxes.position[order]  # positions in score order
+    rank = np.empty_like(seq)
+    rank[seq] = np.arange(seq.size)
+
+    def conflicts(p, q):
+        return interval_iou(ts[p], te[p], ts[q], te[q]) >= iou_threshold
+
+    kept = np.ones(seq.size, dtype=bool)
+    index = np.empty(0, dtype=np.intp)  # sorted kept positions of positive length
+    active = seq[te[seq] > ts[seq]]
+    for a in range(0, active.size, _MERGE_BLOCK):
+        block = active[a:a + _MERGE_BLOCK]
+        for p, q in boxes.pairs(np.sort(block), index):
+            kept[p[conflicts(p, q)]] = False
+        block = block[kept[block]]
+        for p, q in boxes.pairs(block, np.sort(block)):
+            hit = rank[q] < rank[p]
+            hit[hit] = conflicts(p[hit], q[hit])
+            p, q = p[hit], q[hit]
+            if not p.size:
                 continue
-        kept[rank[i]] = True
-        keep.append(i)
-    keep = np.array(keep, dtype=np.intp)
+            # pairs come in score order of p: a q before this run's first p
+            # is settled, one inside the run is settled before a later p reads it
+            settled = rank[q] < rank[p[0]]
+            kept[p[settled & kept[q]]] = False
+            rest = ~settled & kept[p]
+            for i, j in zip(p[rest].tolist(), q[rest].tolist()):
+                if kept[j]:
+                    kept[i] = False
+        new = np.sort(block[kept[block]])
+        index = np.insert(index, np.searchsorted(index, new), new)
+    keep = order[kept[seq]]
     return t_starts[keep], t_ends[keep], scores[keep]
+
+
+_MERGE_BLOCK = 2048
+_PAIR_BUDGET = 1 << 14
+
+
+class _Boxes:
+    """Intervals in (start, end) order, each with its search box.
+
+    An interval's position is its place in (start, end) order. Its key is
+    its start's rank among the distinct starts times the number of distinct
+    ends, plus its end's rank, so keys rise with position and the intervals
+    of one start whose end lies in a range form one key range. Its box is
+    the rank ranges [s_lo, s_hi) and [e_lo, e_hi) of the distinct starts
+    and ends within reach of its own, closed at both ends.
+    """
+
+    def __init__(self, t_starts, t_ends, iou_threshold):
+        starts, s_rank = np.unique(t_starts, return_inverse=True)
+        ends, e_rank = np.unique(t_ends, return_inverse=True)
+        self.n_ends = ends.size
+        key = s_rank * self.n_ends + e_rank
+        by_key = np.argsort(key, kind="stable")
+        self.position = np.empty_like(by_key)
+        self.position[by_key] = np.arange(by_key.size)
+        self.key, self.ts, self.te = key[by_key], t_starts[by_key], t_ends[by_key]
+        width = np.maximum(self.te - self.ts, 0.0)
+        with np.errstate(over="ignore"):
+            reach = (width / iou_threshold - width) * (1 + 1e-9)
+        reach += 1e-9 * (np.abs(self.ts) + np.abs(self.te))
+        self.s_lo = np.searchsorted(starts, self.ts - reach, side="left")
+        self.s_hi = np.searchsorted(starts, self.ts + reach, side="right")
+        self.e_lo = np.searchsorted(ends, self.te - reach, side="left")
+        self.e_hi = np.searchsorted(ends, self.te + reach, side="right")
+
+    def pairs(self, queries, members):
+        """Yield (p, q) position arrays: every q of members in the box of query p.
+
+        members must be sorted. Pairs come grouped by query, in the order of
+        queries, at most _PAIR_BUDGET at a time unless one query's box holds
+        more: per query, one key range for each start that members have
+        within reach.
+        """
+        keys = self.key[members]
+        groups = np.unique(keys // self.n_ends)  # start ranks that members have
+        g_lo = np.searchsorted(groups, self.s_lo[queries])
+        g_hi = np.searchsorted(groups, self.s_hi[queries])
+        for a, b in _runs(g_hi - g_lo):
+            p, g = _expand(queries[a:b], g_lo[a:b], g_hi[a:b])
+            base = groups[g] * self.n_ends
+            lo = np.searchsorted(keys, base + self.e_lo[p])
+            hi = np.searchsorted(keys, base + self.e_hi[p])
+            for c, d in _runs(hi - lo):
+                p_run, k = _expand(p[c:d], lo[c:d], hi[c:d])
+                yield p_run, members[k]
+
+
+def _expand(items, lo, hi):
+    """items[i] repeated hi[i] - lo[i] times, beside lo[i], ..., hi[i] - 1."""
+    counts = hi - lo
+    skip = np.repeat(np.cumsum(counts) - counts - lo, counts)
+    return np.repeat(items, counts), np.arange(skip.size) - skip
+
+
+def _runs(counts):
+    """Slices [a, b) of counts that sum to at most _PAIR_BUDGET (or hold one item)."""
+    ends = np.cumsum(counts)
+    a = 0
+    while a < counts.size:
+        done = ends[a - 1] if a else 0
+        b = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), a + 1)
+        yield a, b
+        a = b
 
 
 def save_proposals(path, proposals_by_video):

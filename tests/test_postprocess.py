@@ -1,12 +1,17 @@
 """Score fusion and Soft-NMS behavior."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from smbg import pipeline as pl
 from smbg import postprocess as pp
 from smbg import tensor as t
 from smbg.labels import TemporalGrid, interval_iou, iou
+from smbg.net import SmbgNet, save_checkpoint
 
 RNG = t.init_rng(31)
 
@@ -222,12 +227,88 @@ def greedy_merge_oracle(t_starts, t_ends, scores, iou_threshold=0.95):
     return np.array(keep_ts), np.array(keep_te), np.array(keep_sc)
 
 
-def assert_merge_matches_oracle(ts, te, sc, thr):
-    got = pp.merge_window_duplicates(ts, te, sc, iou_threshold=thr)
-    want = greedy_merge_oracle(ts, te, sc, iou_threshold=thr)
-    for g, w in zip(got, want):
+def start_window_merge_oracle(t_starts, t_ends, scores, iou_threshold=0.95):
+    """The greedy merge one candidate at a time: each is compared with the
+    kept intervals whose start lies within its reach (see
+    merge_window_duplicates), found by searchsorted on the sorted starts and
+    a kept mask."""
+    t_starts = np.asarray(t_starts, dtype=np.float64)
+    t_ends = np.asarray(t_ends, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    by_start = np.argsort(t_starts, kind="stable")
+    sorted_ts, sorted_te = t_starts[by_start], t_ends[by_start]
+    rank = np.empty_like(by_start)
+    rank[by_start] = np.arange(by_start.size)
+    width = np.maximum(t_ends - t_starts, 0.0)
+    with np.errstate(over="ignore"):
+        reach = (width / iou_threshold - width) * (1 + 1e-9)
+    reach += 1e-9 * (np.abs(t_starts) + np.abs(t_ends))
+    lo = np.searchsorted(sorted_ts, t_starts - reach, side="left")
+    hi = np.searchsorted(sorted_ts, t_starts + reach, side="right")
+    kept = np.zeros(by_start.size, dtype=bool)
+    keep = []
+    for i in order:
+        near = np.flatnonzero(kept[lo[i]:hi[i]]) + lo[i]
+        if near.size:
+            ious = interval_iou(t_starts[i], t_ends[i], sorted_ts[near], sorted_te[near])
+            if ious.max() >= iou_threshold:
+                continue
+        kept[rank[i]] = True
+        keep.append(i)
+    keep = np.array(keep, dtype=np.intp)
+    return t_starts[keep], t_ends[keep], scores[keep]
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+def assert_merge_matches_oracle(ts, te, sc, thr):
+    """The merge, with its stock blocks and with blocks and pair runs so
+    small that every branch runs, and the start-window oracle all equal the
+    all-pairs greedy oracle."""
+    want = greedy_merge_oracle(ts, te, sc, iou_threshold=thr)
+    assert_same_arrays(pp.merge_window_duplicates(ts, te, sc, iou_threshold=thr), want)
+    with mock.patch.multiple(pp, _MERGE_BLOCK=3, _PAIR_BUDGET=4):
+        assert_same_arrays(pp.merge_window_duplicates(ts, te, sc, iou_threshold=thr), want)
+    assert_same_arrays(start_window_merge_oracle(ts, te, sc, iou_threshold=thr), want)
+
+
+def window_grid_candidates(L, dt, rng):
+    """Every cell of three half-overlapping L-step windows, in seconds as
+    window-mode inference makes them, with scores rounded to 2 decimals so
+    that ties occur."""
+    ss, ee = np.triu_indices(L)
+    offsets = [o * dt for o in (0, L // 2, L)]
+    ts = np.concatenate([ss * dt + o for o in offsets])
+    te = np.concatenate([(ee + 1) * dt + o for o in offsets])
+    return ts, te, rng.uniform(0, 1, ts.size).round(2)
+
+
+def merge_peak_bytes(ts, te, sc, thr=0.95):
+    """Kept arrays of the merge, and the peak of memory it allocates."""
+    tracemalloc.start()
+    try:
+        out = pp.merge_window_duplicates(ts, te, sc, iou_threshold=thr)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MERGE_PEAK_LIMIT = 16 * 2 ** 20
+
+# name: (n -> (t_starts, t_ends), n, n compared with the oracle, n kept or None)
+DENSE_INPUTS = {
+    # one interval over and over: only the first in score order is kept
+    "copies": (lambda n: (np.full(n, 3.0), np.full(n, 10.0)), 20000, 20000, 1),
+    # zero-length intervals at one time: every union is 0, so all are kept
+    "zero_length": (lambda n: (np.full(n, 5.0), np.full(n, 5.0)), 20000, 5000, 20000),
+    # nested intervals [0, k], k = 1..n
+    "nested": (lambda n: (np.zeros(n), np.arange(1.0, n + 1)), 3000, 3000, None),
+}
 
 
 def _shifted(x, ulps):
@@ -239,8 +320,8 @@ def _shifted(x, ulps):
 @st.composite
 def _merge_candidates(draw):
     """Coarse-grid intervals (exact duplicates, tied scores, zero lengths),
-    plus copies of some with the start moved to within a few ulp of where
-    their IoU with the original crosses 0.95."""
+    plus copies of some with the start or the end moved to within a few ulp
+    of where their IoU with the original crosses 0.95."""
     unit = draw(st.sampled_from([1.0, 0.25, 1 / 3, 600 / 577]))
     offset = draw(st.sampled_from([0.0, 64.0, 1e4 + 0.1]))
     grid = st.tuples(st.integers(0, 12), st.integers(0, 12))
@@ -250,8 +331,13 @@ def _merge_candidates(draw):
     for j in draw(st.lists(st.integers(0, max(len(cells) - 1, 0)), max_size=6)
                   if cells else st.just([])):
         width = te[j] - ts[j]
-        ts.append(_shifted(ts[j] + 0.05 * width, draw(st.integers(-3, 3))))
-        te.append(te[j])
+        ulps = draw(st.integers(-3, 3))
+        if draw(st.booleans()):
+            ts.append(_shifted(ts[j] + 0.05 * width, ulps))
+            te.append(te[j])
+        else:
+            ts.append(ts[j])
+            te.append(_shifted(te[j] - 0.05 * width, ulps))
     level = st.sampled_from([0.2, 0.5, 0.9])
     scores = draw(st.lists(level | st.floats(0, 1), min_size=len(ts), max_size=len(ts)))
     return (np.array(ts, dtype=np.float64), np.array(te, dtype=np.float64),
@@ -295,10 +381,58 @@ class TestMergeWindowDuplicates:
         for thr in (0.5, 0.8, 0.95, 1.0):
             assert_merge_matches_oracle(ts, te, sc, thr)
 
+    @pytest.mark.parametrize("dt", [1.0, 600 / 577])
+    @pytest.mark.parametrize("thr", [0.5, 0.95, 1.0])
+    def test_full_scale_window_grid(self, dt, thr):
+        # three half-overlapping L=128 windows, as a 256-step video gives
+        ts, te, sc = window_grid_candidates(128, dt, t.init_rng(7))
+        assert ts.size == 24768
+        got, peak = merge_peak_bytes(ts, te, sc, thr)
+        assert_same_arrays(got, start_window_merge_oracle(ts, te, sc, thr))
+        assert peak <= MERGE_PEAK_LIMIT
+
+    @pytest.mark.parametrize("case", sorted(DENSE_INPUTS))
+    def test_dense_inputs(self, case):
+        # the oracle runs on the first n_oracle candidates, which it merges
+        # in well under 2 s; the memory bound holds at the full size
+        build, n, n_oracle, n_kept = DENSE_INPUTS[case]
+        ts, te = build(n)
+        sc = t.init_rng(11).uniform(0, 1, n).round(2)
+        got, peak = merge_peak_bytes(ts, te, sc)
+        assert peak <= MERGE_PEAK_LIMIT
+        if n_kept is not None:
+            assert got[0].size == n_kept
+        part = ts[:n_oracle], te[:n_oracle], sc[:n_oracle]
+        if n_oracle < n:
+            got = pp.merge_window_duplicates(*part)
+        assert_same_arrays(got, start_window_merge_oracle(*part))
+
     @pytest.mark.parametrize("thr", [0.0, -0.5, 1.0 + 1e-12, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, thr):
         with pytest.raises(ValueError, match="iou_threshold"):
             pp.merge_window_duplicates(np.array([0.0]), np.array([1.0]), np.array([1.0]), thr)
+
+
+class TestMergeInWindowInfer:
+    def test_infer_equals_start_window_oracle(self, tmp_path, monkeypatch):
+        # 600 frames at L=128, overlap 0.5: 9 windows, 74,304 candidates
+        cfg = pl.RunConfig(window_mode=True, seed=0)
+        spec = pl.SyntheticSpec(num_videos=1, channels=cfg.in_channels, seed=5,
+                                duration_range=(600, 600))
+        ds, _ = pl.synth_dataset(spec)
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
+        pl.infer(cfg, ckpt, ds, str(tmp_path / "merge.json"))
+        merged = []
+
+        def oracle(t_starts, *args, **kwargs):
+            merged.append(len(t_starts))
+            return start_window_merge_oracle(t_starts, *args, **kwargs)
+
+        monkeypatch.setattr(pp, "merge_window_duplicates", oracle)
+        pl.infer(cfg, ckpt, ds, str(tmp_path / "oracle.json"))
+        assert merged == [74304]
+        assert (tmp_path / "merge.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
 
 
 class TestProposalsIO:
