@@ -9,7 +9,8 @@ The model maps a per-video feature sequence [B, N0, T] to
 The proposal feature map is assembled from per-duration-band 1D
 convolutions evaluated only at the start and end positions of each cell,
 which is what makes the layer cheap compared with dense boundary-matching
-sampling. The production forward never materializes that map: the first
+sampling; ``SmbgNet.band_sequences`` runs them for every forward. The
+production forward never materializes that map: the first
 confidence-head conv reads the band sequences directly
 (``tensor.band_map_conv``). The dense map path (``mpfg_forward`` +
 ``sec_head``) stays as the reference it is checked against. Inference
@@ -19,8 +20,8 @@ the training graph and the reference ``predict`` is checked against. The
 speed benchmark (``costmodel.bench``) times the band layer as
 ``mpfg_forward`` under ``tensor.no_grad``, the same ops that training
 runs. A BMN-style sampling generator is included purely as the
-efficiency baseline for the cost model and benchmarks; it and
-``predict`` are the only code here that call raw numpy kernels directly.
+efficiency baseline for the cost model and benchmarks; it is the only
+code here that calls raw numpy conv kernels directly.
 """
 
 from __future__ import annotations
@@ -151,7 +152,10 @@ class ModelConfig:
 
     def __post_init__(self):
         if isinstance(self.band_spec, dict):
-            self.band_spec = BandSpec(**self.band_spec)
+            try:
+                self.band_spec = BandSpec(**self.band_spec)
+            except TypeError as e:
+                raise BandSpecError(f"malformed band spec ({e})") from None
         if self.temporal_length < 1:
             raise ValueError(f"temporal length must be >= 1, got {self.temporal_length}")
         if self.dilation < 1:
@@ -171,8 +175,8 @@ class Conv1d:
         self.w = t.Tensor(draw((cout, cin, k), cin * k), requires_grad=True)
         self.b = t.Tensor(np.zeros(cout), requires_grad=True)
 
-    def __call__(self, x):
-        return t.conv1d_same(x, self.w, self.b)
+    def __call__(self, x, lo=0, hi=None):
+        return t.conv1d_same(x, self.w, self.b, lo, hi)
 
 
 class Conv2d:
@@ -183,15 +187,6 @@ class Conv2d:
 
     def __call__(self, x):
         return t.conv2d_dilated(x, self.w, self.b, self.dilation)
-
-
-def _conv_rows(conv, col):
-    """A Conv1d's output at the rows of a time-major im2col [n, B, Ci*k], as [n, B, Co]."""
-    n, B, _ = col.shape
-    w = conv.w.data
-    out = np.matmul(col.reshape(n * B, -1), w.reshape(w.shape[0], -1).T)
-    out += conv.b.data
-    return out.reshape(n, B, -1)
 
 
 class SmbgNet:
@@ -275,9 +270,10 @@ class SmbgNet:
         return t.reshape(p_s, (B, T)), t.reshape(p_e, (B, T))
 
     def band_sequences(self, f_b):
-        """Per-band start and end feature sequences, each [B, C, T]."""
-        return ([conv(f_b) for conv in self.band_starts],
-                [conv(f_b) for conv in self.band_ends])
+        """Per-band start and end sequences [B, C, T], computed on their band_rows only."""
+        rows_s, rows_e = t.band_rows(self.config.band_spec.edges)
+        return ([conv(f_b, *r) for conv, r in zip(self.band_starts, rows_s)],
+                [conv(f_b, *r) for conv, r in zip(self.band_ends, rows_e)])
 
     def mpfg_forward(self, f_b):
         """The dense [B, 2C, T, T] proposal feature map (reference path)."""
@@ -314,28 +310,20 @@ class SmbgNet:
     def predict(self, x):
         """Eval-mode (P_s, P_e, P_c, P_r) arrays of features x [B, C, T], no graph.
 
-        Computes only the cells e >= s that inference reads. Band i's start
-        conv runs only at s < T - edges[i] and its end conv only at
-        e >= edges[i], both from one time-major im2col; sec_dil runs on the
-        packed upper triangle (tensor.band_map_conv_upper); each eval
+        Computes only the cells e >= s that inference reads: sec_dil runs on
+        the packed upper triangle (tensor.band_map_conv_upper) and each eval
         batchnorm is folded into the 1x1 conv after it. P_c and P_r are
         [B, T, T] maps whose cells e < s are exactly 0. Equals
         forward(x, train=False) on the cells e >= s to rounding; P_s and P_e
         are bit-equal.
         """
-        c = self.config
-        T = c.temporal_length
-        edges = c.band_spec.edges
+        T = self.config.temporal_length
         with t.no_grad():
             f_b = self.base_module(t.Tensor(x))
             p_s, p_e = self.boundary_head(f_b)
-            starts, ends = [], []
-            for lo, k, s_conv, e_conv in zip(edges, c.band_spec.kernel_sizes,
-                                             self.band_starts, self.band_ends):
-                col = t.im2col1d_time_major(f_b.data, k)
-                starts.append(_conv_rows(s_conv, col[:T - lo]))
-                ends.append(_conv_rows(e_conv, col[lo:]))
-            h = t.band_map_conv_upper(starts, ends, edges, self.sec_dil.w.data,
+            starts, ends = self.band_sequences(f_b)
+            h = t.band_map_conv_upper([s.data for s in starts], [e.data for e in ends],
+                                      self.config.band_spec.edges, self.sec_dil.w.data,
                                       self.sec_dil.b.data, self.sec_dil.dilation)
             P, B, H = h.shape
             h = h.reshape(P * B, H)
@@ -550,7 +538,14 @@ def net_from_arrays(header, arrays, where):
     No weights are drawn: each parameter holds its float64 array from
     `arrays` itself, not a copy; buffers are copied.
     """
-    config = ModelConfig(**drop_mask_mode(header["model_config"], where))
+    if not isinstance(header.get("model_config"), dict):
+        raise ValueError(f"{where}: header has no 'model_config' object")
+    try:
+        config = ModelConfig(**drop_mask_mode(header["model_config"], where))
+    except BandSpecError as e:
+        raise ValueError(f"{where}: model_config.band_spec: {e}") from None
+    except TypeError as e:  # an unknown field
+        raise ValueError(f"{where}: model_config: {e}") from None
     net = SmbgNet._unfilled(config)
     targets = [("parameter", n, p.data) for n, p in net.named_parameters()]
     targets += [("buffer", n, b) for n, b in net.named_buffers()]

@@ -146,10 +146,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d, where="run config"):
+        if not isinstance(d, dict):
+            raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
         d = drop_mask_mode(d, where)
         # retired field, still present in older run_config.json files
         d.pop("workers", None)
-        return cls(**d)
+        try:
+            return cls(**d)
+        except (TypeError, ValueError) as e:  # TypeError: an unknown field
+            raise ValueError(f"{where}: {e}") from None
 
     def save(self, path):
         with open(path, "w") as f:
@@ -215,8 +220,12 @@ def load_features(path):
         if not rows:
             raise ValueError(f"{path}: empty feature file")
         return np.array(rows).T.copy()
-    header, arrays = load_arrays(path)
+    _, arrays = load_arrays(path)
+    if "features" not in arrays:
+        raise ValueError(f"{path}: feature container has no 'features' array")
     feats = arrays["features"]
+    if feats.ndim != 2:
+        raise ValueError(f"{path}: features must be [channels, T], got shape {feats.shape}")
     if not np.all(np.isfinite(feats)):
         raise ValueError(f"{path}: non-finite values in feature container")
     return feats

@@ -19,11 +19,11 @@ Under ``no_grad`` an op keeps no parents and no adjoint, so the graph ops
 are also the reference and benchmark path. The raw numpy
 kernels (``conv1d_same_raw``, ``conv2d_dilated_raw``) are what the graph
 ops and their adjoints run; outside this module only the
-boundary-matching baseline and the tests call them.
-``im2col1d_time_major``, ``band_map_conv_upper`` and ``fold_batchnorm``
-serve the eval-mode ``SmbgNet.predict`` alone: band convs on the times
-they are read at, the first map conv on the upper triangle only, packed,
-and eval batchnorm folded into the 1x1 conv after it.
+boundary-matching baseline and the tests call them. A 1-D conv computes
+only the output rows asked for (``band_rows``: those a band map reads).
+``band_map_conv_upper`` and ``fold_batchnorm`` serve ``SmbgNet.predict``
+alone: the first map conv on the upper triangle only, packed, and eval
+batchnorm folded into the 1x1 conv after it.
 """
 
 from __future__ import annotations
@@ -345,63 +345,58 @@ def select_channel(x, c):
 
 # -- convolution kernels (raw numpy, shared by graph ops and their adjoints)
 
-def _pad1d(x, p):
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p)))
-
-
-def _im2col1d(x, k):
-    """Contiguous [B, C*k, T] patch matrix of the zero-padded input."""
-    B, C, T = x.shape
-    xp = _pad1d(x, (k - 1) // 2)
+def _im2col1d(x, k, lo, hi):
+    """Time-major [hi-lo, B, C*k] patch matrix of the zero-padded input, times lo..hi-1."""
+    B, C, _ = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), ((k - 1) // 2,) * 2))
     s0, s1, s2 = xp.strides
-    col = as_strided(xp, (B, C, k, T), (s0, s1, s2, s2))
-    return np.ascontiguousarray(col).reshape(B, C * k, T)
+    col = as_strided(xp[:, :, lo:], (hi - lo, B, C, k), (s2, s0, s1, s2))
+    return np.ascontiguousarray(col).reshape(hi - lo, B, C * k)
 
 
-def im2col1d_time_major(x, k):
-    """Contiguous [T, B, C*k] patch matrix of the zero-padded input; row t holds
-    the windows of output time t, so a run of times is one contiguous slice."""
-    B, C, T = x.shape
-    xp = _pad1d(x, (k - 1) // 2)
-    s0, s1, s2 = xp.strides
-    col = as_strided(xp, (T, B, C, k), (s2, s0, s1, s2))
-    return np.ascontiguousarray(col).reshape(T, B, C * k)
-
-
-def conv1d_same_raw(x, w, b, col=None):
-    """out[b,o,t] = b[o] + sum_{c,j} w[o,c,j] * x_padded[b,c,t+j]."""
+def conv1d_same_raw(x, w, b, lo=0, hi=None, col=None):
+    """out[b,o,t] = b[o] + sum_{c,j} w[o,c,j] * x_padded[b,c,t+j] for lo <= t < hi, else 0."""
+    B, _, T = x.shape
+    hi = T if hi is None else hi
     Co, Ci, k = w.shape
     if col is None:
-        col = _im2col1d(x, k)
-    out = np.matmul(w.reshape(Co, Ci * k), col)
+        col = _im2col1d(x, k, lo, hi)
+    # one [n, Ci*k] @ [Ci*k, Co] product per batch item, so no output depends on B
+    rows = np.matmul(col.transpose(1, 0, 2), w.reshape(Co, Ci * k).T)
     if b is not None:
-        out += b[:, None]
+        rows += b
+    out = np.zeros((B, Co, T))
+    out[:, :, lo:hi] = rows.transpose(0, 2, 1)
     return out
 
 
-def conv1d_same(x, w, b):
-    """'Same'-length 1D cross-correlation with zero padding; odd kernels only."""
+def conv1d_same(x, w, b, lo=0, hi=None):
+    """'Same'-length 1D cross-correlation, zero padding, odd kernels; rows [lo, hi) only."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ValueError("conv1d_same expects x[B,C,T] and w[Cout,Cin,k]")
     Co, Ci, k = w.data.shape
+    T = x.data.shape[2]
+    hi = T if hi is None else hi
     if k % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {k}")
     if Ci != x.data.shape[1]:
         raise ValueError(f"channel mismatch: input has {x.data.shape[1]}, weight expects {Ci}")
     if b.data.shape != (Co,):
         raise ValueError(f"bias must have shape ({Co},), got {b.data.shape}")
-    col = _im2col1d(x.data, k)
-    out_data = conv1d_same_raw(x.data, w.data, b.data, col)
+    if not 0 <= lo < hi <= T:
+        raise ValueError(f"output rows [{lo}, {hi}) must be a non-empty part of [0, {T})")
+    col = _im2col1d(x.data, k, lo, hi)
+    out_data = conv1d_same_raw(x.data, w.data, b.data, lo, hi, col)
 
     def backward(g):
+        g = np.pad(g[:, :, lo:hi], ((0, 0), (0, 0), (lo, T - hi)))  # the 0 rows pass nothing
         # grad wrt input: correlate g with the tap-flipped, channel-swapped kernel
         w_flip = np.ascontiguousarray(w.data[:, :, ::-1].transpose(1, 0, 2))
-        gx = conv1d_same_raw(g, w_flip, None)
-        gw = np.matmul(g, col.transpose(0, 2, 1)).sum(axis=0).reshape(Co, Ci, k)
-        return gx, gw, g.sum(axis=(0, 2))
+        # grad wrt weight: one GEMM over the time-major rows, [Co, n*B] @ [n*B, Ci*k]
+        g_rows = g[:, :, lo:hi].transpose(1, 2, 0).reshape(Co, -1)
+        gw = np.matmul(g_rows, col.reshape(-1, Ci * k)).reshape(Co, Ci, k)
+        return conv1d_same_raw(g, w_flip, None), gw, g_rows.sum(axis=1)
 
     return _make(out_data, (x, w, b), backward, "conv1d_same")
 
@@ -572,29 +567,44 @@ def _kernel_halves(w, C):
             w[:, C:].transpose(1, 2, 3, 0).reshape(C, kh * kw * Co))
 
 
-def _tap_products(seq, w_half, T, t0, K):
-    """U[tap, t] = (W_tap half @ S)[:, :, t] as [K, T, B, Co] from a time-major
-    [n, B, C] sequence holding times t0 .. t0+n-1; other times are left unset."""
-    n, B, C = seq.shape
-    Co = w_half.shape[1] // K
-    out = np.empty((K, T, B, Co))
-    out[:, t0:t0 + n] = np.matmul(seq.reshape(n * B, C), w_half).reshape(
-        n, B, K, Co).transpose(2, 0, 1, 3)
-    return out
+def band_rows(edges):
+    """The trim rule: the [lo, hi) rows of each band's start sequence, and of each
+    band's end sequence, that band-map cells read. A band-i cell (s, e) has
+    e - s >= edges[i] and e < T, so s < T - edges[i] and e >= edges[i]."""
+    T = edges[-1]
+    return [(0, T - lo) for lo in edges[:-1]], [(lo, T) for lo in edges[:-1]]
 
 
-def _diagonal_sums(U, V, plan, b, diagonals):
+def _band_taps(starts, ends, edges, w):
+    """Per start, then per end [B, C, T] sequence: its band_rows (lo, hi, time-major
+    copy) and U[tap, t] = (W_tap half @ S)[:, :, t] as [K, T, B, Co], unset off them."""
+    B, C, T = starts[0].shape
+    K = w.shape[2] * w.shape[3]
+    reads, U = [], []
+    for xs, w_half, rows in zip((starts, ends), _kernel_halves(w, C), band_rows(edges)):
+        for x, (lo, hi) in zip(xs, rows):
+            seq = np.ascontiguousarray(x[:, :, lo:hi].transpose(2, 0, 1))
+            u = np.empty((K, T, B, w.shape[0]))
+            u[:, lo:hi] = np.matmul(seq.reshape(-1, C), w_half).reshape(
+                hi - lo, B, K, -1).transpose(2, 0, 1, 3)
+            reads.append((lo, hi, seq))
+            U.append(u)
+    return reads, U
+
+
+def _diagonal_sums(U, plan, b, diagonals):
     """The slice sums of band_map_conv, one output diagonal per plan entry.
 
     diagonals yields one [T', B, Co] array per (d, entries) of plan, indexed
-    by start s; each is set to b plus its entries' slices of U and V.
+    by start s; each is set to b plus its entries' slices of _band_taps' U.
     """
+    nb = len(U) // 2
     for (_, entries), acc in zip(plan, diagonals, strict=True):
         acc[...] = b
         for band, tap, lo, hi, u0, v0 in entries:
             n = hi - lo
             acc[lo:hi] += U[band][tap, u0:u0 + n]
-            acc[lo:hi] += V[band][tap, v0:v0 + n]
+            acc[lo:hi] += U[nb + band][tap, v0:v0 + n]
 
 
 def band_map_conv(starts, ends, edges, w, b, dilation=1):
@@ -604,11 +614,11 @@ def band_map_conv(starts, ends, edges, w, b, dilation=1):
     dilation) where cells are the duration bands of `edges` (cell (s, e) is
     in band i iff edges[i] <= e - s < edges[i+1]). Every map cell is a
     band's start feature at s stacked on its end feature at e, so each tap
-    is one matmul per band over the [B, C, T] sequences (U = W_tap[:, :C] @
-    S, V = W_tap[:, C:] @ E), and each output diagonal is a sum of
-    contiguous slices of U and V. All T*T output cells are produced,
-    including the lower triangle, which sees the bands through the taps
-    that reach across the main diagonal.
+    is one matmul per band over the rows band_rows(edges) names
+    (U = W_tap[:, :C] @ S, V = W_tap[:, C:] @ E), and each output diagonal
+    is a sum of contiguous slices of U and V. All T*T output cells are
+    produced, including the lower triangle, which sees the bands through
+    the taps that reach across the main diagonal.
     """
     starts = [_as_tensor(s) for s in starts]
     ends = [_as_tensor(e) for e in ends]
@@ -630,17 +640,13 @@ def band_map_conv(starts, ends, edges, w, b, dilation=1):
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     K = kh * kw
+    nb = len(starts)
     plan = _band_map_plan(T, edges, kh, int(dilation))
-    w_s, w_e = _kernel_halves(w.data, C)
-    # time-major [T, B, C], so a run of starts is one contiguous slice
-    seq_s = [np.ascontiguousarray(x.data.transpose(2, 0, 1)) for x in starts]
-    seq_e = [np.ascontiguousarray(x.data.transpose(2, 0, 1)) for x in ends]
-    U = [_tap_products(x, w_s, T, 0, K) for x in seq_s]
-    V = [_tap_products(x, w_e, T, 0, K) for x in seq_e]
+    reads, U = _band_taps([x.data for x in starts], [x.data for x in ends], edges, w.data)
     # diagonal-major output: diags[d + T-1, s] is cell (s, s+d)
     diags = np.empty((2 * T - 1, T, B, Co))
-    _diagonal_sums(U, V, plan, b.data, diags)
-    del U, V
+    _diagonal_sums(U, plan, b.data, diags)
+    del U
     # row s of the map is diags[T-1-s : 2T-1-s, s]; one small transpose per row
     out_data = np.empty((B, Co, T, T))
     for s in range(T):
@@ -651,26 +657,27 @@ def band_map_conv(starts, ends, edges, w, b, dilation=1):
         g_diags = np.empty((2 * T - 1, T, B, Co))
         for s in range(T):
             g_diags[T - 1 - s:2 * T - 1 - s, s] = g[:, :, s, :].transpose(2, 0, 1)
-        gU = [np.zeros((K, T, B, Co)) for _ in starts]
-        gV = [np.zeros((K, T, B, Co)) for _ in ends]
+        gU = [np.zeros((K, T, B, Co)) for _ in reads]
         for d, entries in plan:
             gd = g_diags[d + T - 1]
             for band, tap, lo, hi, u0, v0 in entries:
                 n = hi - lo
                 gU[band][tap, u0:u0 + n] += gd[lo:hi]
-                gV[band][tap, v0:v0 + n] += gd[lo:hi]
+                gU[nb + band][tap, v0:v0 + n] += gd[lo:hi]
         del g_diags
-        gw_s = np.zeros((C, K * Co))
-        gw_e = np.zeros((C, K * Co))
+        w_halves = _kernel_halves(w.data, C)
+        gw = np.zeros((2, C, K * Co))
         g_seqs = []
-        for seqs, grads, w_x, gw_x in ((seq_s, gU, w_s, gw_s), (seq_e, gV, w_e, gw_e)):
-            for seq, gx in zip(seqs, grads):
-                # back to [T*B, K*Co], the layout of the forward matmul's output
-                gx = gx.transpose(1, 2, 0, 3).reshape(T * B, K * Co)
-                g_seqs.append(np.matmul(gx, w_x.T).reshape(T, B, C).transpose(1, 2, 0))
-                gw_x += np.matmul(seq.reshape(T * B, C).T, gx)
-        gw = np.concatenate([gw_s, gw_e]).reshape(Ci, kh, kw, Co)
-        return (*g_seqs, gw.transpose(3, 0, 1, 2), g.sum(axis=(0, 2, 3)))
+        for i, ((lo, hi, seq), gx) in enumerate(zip(reads, gU)):
+            # the read rows, back in [n*B, K*Co], the layout of the forward matmul's output
+            gx = gx[:, lo:hi].transpose(1, 2, 0, 3).reshape(-1, K * Co)
+            g_seq = np.zeros((B, C, T))  # unread rows get no gradient
+            g_seq[:, :, lo:hi] = np.matmul(gx, w_halves[i // nb].T).reshape(
+                hi - lo, B, C).transpose(1, 2, 0)
+            g_seqs.append(g_seq)
+            gw[i // nb] += np.matmul(seq.reshape(-1, C).T, gx)
+        gw = gw.reshape(Ci, kh, kw, Co).transpose(3, 0, 1, 2)
+        return (*g_seqs, gw, g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, (*starts, *ends, w, b), backward, "band_map_conv")
 
@@ -686,27 +693,15 @@ def upper_cells(T):
 
 
 def band_map_conv_upper(starts, ends, edges, w, b, dilation=1):
-    """band_map_conv on the cells e >= s only, packed; raw arrays, no graph.
-
-    A tap never reads below the diagonal, and a band-i cell (s, e) has
-    e - s >= edges[i], so band i's start sequence is read only at
-    s < T - edges[i] and its end sequence only at e >= edges[i]. The
-    sequences are time-major: starts[i] is [T - edges[i], B, C] holding
-    s = 0 .. T-edges[i]-1, and ends[i] is [T - edges[i], B, C] holding
-    e = edges[i] .. T-1. Returns [T(T+1)/2, B, Co] in upper_cells(T) order.
-    """
+    """band_map_conv on the cells e >= s only, packed; raw [B, C, T] arrays, no
+    graph. Returns [T(T+1)/2, B, Co] in upper_cells(T) order."""
     edges = tuple(int(e) for e in edges)
     T = edges[-1]
-    _, B, C = starts[0].shape
-    Co, _, k, _ = w.shape
-    K = k * k
-    plan = _band_map_plan(T, edges, k, int(dilation))
-    w_s, w_e = _kernel_halves(w, C)
-    U = [_tap_products(x, w_s, T, 0, K) for x in starts]
-    V = [_tap_products(x, w_e, T, lo, K) for x, lo in zip(ends, edges)]
-    out = np.empty((T * (T + 1) // 2, B, Co))
+    _, U = _band_taps(starts, ends, edges, w)
+    out = np.empty((T * (T + 1) // 2, starts[0].shape[0], w.shape[0]))
     # plan[T-1:] are the diagonals d >= 0; diagonal d is T - d packed rows
-    _diagonal_sums(U, V, plan[T - 1:], b, np.split(out, np.cumsum(np.arange(T, 1, -1))))
+    _diagonal_sums(U, _band_map_plan(T, edges, w.shape[2], int(dilation))[T - 1:], b,
+                   np.split(out, np.cumsum(np.arange(T, 1, -1))))
     return out
 
 

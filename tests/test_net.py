@@ -284,13 +284,36 @@ class TestPredict:
         seen = []
         upper = t.band_map_conv_upper
 
+        def computed_rows(x):
+            rows = np.flatnonzero(np.any(x != 0.0, axis=(0, 1)))
+            assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
+            return int(rows[0]), int(rows[-1]) + 1
+
         def spy(starts, ends, edges, *rest):
-            seen.append(([x.shape[0] for x in starts], [x.shape[0] for x in ends]))
+            assert all(x.shape == (2, cfg.band_channels, 16) for x in (*starts, *ends))
+            seen.append(([computed_rows(x) for x in starts], [computed_rows(x) for x in ends]))
             return upper(starts, ends, edges, *rest)
 
         monkeypatch.setattr(t, "band_map_conv_upper", spy)
         SmbgNet(cfg, seed=3).predict(RNG.standard_normal((2, 3, 16)))
-        assert seen == [([16, 15, 10], [16, 15, 10])]
+        assert seen == [([(0, 16), (0, 15), (0, 10)], [(0, 16), (1, 16), (6, 16)])]
+
+    def test_forward_and_predict_get_band_sequences_from_one_place(self, monkeypatch):
+        net = SmbgNet(tiny_config(T=12, bands=BandSpec([0, 4, 12], [3, 5])), seed=6)
+        calls = []
+        band_sequences = net.band_sequences
+
+        def spied(f_b):
+            calls.append(f_b.data.shape)
+            return band_sequences(f_b)
+
+        monkeypatch.setattr(net, "band_sequences", spied)
+        x = RNG.standard_normal((2, 3, 12))
+        net.forward(t.Tensor(x), train=True)
+        net.predict(x)
+        with t.no_grad():
+            net.mpfg_forward(net.base_module(t.Tensor(x)))
+        assert calls == [(2, 2, 12)] * 3
 
     def test_folded_batchnorm_is_the_eval_affine(self):
         net = SmbgNet(tiny_config(sec_hidden=6), seed=4)
@@ -524,6 +547,42 @@ class TestCheckpoint:
         save_arrays(path, header, [(n, p.data) for n, p in net.named_parameters()]
                     + net.named_buffers())
         with pytest.raises(ValueError, match="mask_mode 'literal'"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _saved_with_model_config(tmp_path, model_config):
+        net = SmbgNet(tiny_config(), seed=14)
+        path = str(tmp_path / "bad.ckpt")
+        header = {} if model_config is None else {"model_config": model_config}
+        save_arrays(path, header, [(n, p.data) for n, p in net.named_parameters()]
+                    + net.named_buffers())
+        return path
+
+    def test_missing_model_config_named(self, tmp_path):
+        path = self._saved_with_model_config(tmp_path, None)
+        with pytest.raises(ValueError, match=r"bad\.ckpt: header has no 'model_config'"):
+            load_checkpoint(path)
+
+    def test_unknown_model_config_field_named(self, tmp_path):
+        cfg = dict(tiny_config().to_dict(), widths=[1, 2])
+        path = self._saved_with_model_config(tmp_path, cfg)
+        with pytest.raises(ValueError, match=r"bad\.ckpt: model_config: .*unexpected "
+                                             r"keyword argument 'widths'"):
+            load_checkpoint(path)
+
+    def test_band_spec_without_kernel_sizes_named(self, tmp_path):
+        cfg = dict(tiny_config().to_dict(), band_spec={"edges": [0, 3, 8]})
+        path = self._saved_with_model_config(tmp_path, cfg)
+        with pytest.raises(ValueError,
+                           match=r"bad\.ckpt: model_config\.band_spec: .*'kernel_sizes'"):
+            load_checkpoint(path)
+
+    def test_band_spec_not_fitting_t_named(self, tmp_path):
+        cfg = dict(tiny_config().to_dict(), band_spec={"edges": [0, 3, 10],
+                                                       "kernel_sizes": [3, 5]})
+        path = self._saved_with_model_config(tmp_path, cfg)
+        with pytest.raises(ValueError, match=r"bad\.ckpt: model_config\.band_spec: band "
+                                             r"edges must reach T=8, got 10"):
             load_checkpoint(path)
 
     def test_forward_after_roundtrip_identical(self, tmp_path):

@@ -12,7 +12,7 @@ from smbg import postprocess as pp
 from smbg import tensor as t
 from smbg.cli import main as cli_main
 from smbg.labels import ActionInstance, TemporalGrid
-from smbg.net import SmbgNet, load_checkpoint, save_checkpoint
+from smbg.net import SmbgNet, load_checkpoint, save_arrays, save_checkpoint
 
 RNG = t.init_rng(61)
 
@@ -151,6 +151,19 @@ class TestFeatureFiles:
         feats = RNG.standard_normal((3, 7))
         pl.save_features_bin(path, feats)
         np.testing.assert_array_equal(pl.load_features(path), feats)
+
+    def test_binary_container_without_features_named(self, tmp_path):
+        path = str(tmp_path / "f.bin")
+        save_arrays(path, {"kind": "features"}, [("feats", RNG.standard_normal((3, 7)))])
+        with pytest.raises(ValueError, match=r"f\.bin: feature container has no 'features'"):
+            pl.load_features(path)
+
+    def test_binary_container_with_1d_features_named(self, tmp_path):
+        path = str(tmp_path / "f.bin")
+        pl.save_features_bin(path, RNG.standard_normal(4))
+        with pytest.raises(ValueError, match=r"f\.bin: features must be \[channels, T\], "
+                                             r"got shape \(4,\)"):
+            pl.load_features(path)
 
 
 class TestRescale:
@@ -291,6 +304,25 @@ class TestRunConfig:
         path = tmp_path / "literal.json"
         path.write_text(json.dumps(dict(cfg.to_dict(), mask_mode="literal")))
         with pytest.raises(ValueError, match="mask_mode 'literal'"):
+            pl.RunConfig.load(str(path))
+
+    def test_unknown_field_in_config_file_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(tiny_run_config(tmp_path).to_dict(), widths=4)))
+        with pytest.raises(ValueError, match=r"cfg\.json: .*unexpected keyword argument "
+                                             r"'widths'"):
+            pl.RunConfig.load(str(path))
+
+    def test_non_object_config_file_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=r"cfg\.json: expected a JSON object, got list"):
+            pl.RunConfig.load(str(path))
+
+    def test_bad_value_in_config_file_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(tiny_run_config(tmp_path).to_dict(), batch_size=0)))
+        with pytest.raises(ValueError, match=r"cfg\.json: RunConfig\.batch_size"):
             pl.RunConfig.load(str(path))
 
     @pytest.mark.parametrize("kw", [

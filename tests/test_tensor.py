@@ -58,6 +58,36 @@ class TestConv1d:
         err = gc(lambda i: t.tsum(t.square(t.conv1d_same(*i))), [x, w, b])
         assert err < 1e-4
 
+    @pytest.mark.parametrize("lo,hi", [(2, 9), (0, 4), (5, 11), (6, 7)])
+    def test_row_range_matches_reference_and_is_zero_elsewhere(self, lo, hi):
+        x = RNG.standard_normal((2, 3, 11))
+        w = RNG.standard_normal((4, 3, 5))
+        b = RNG.standard_normal(4)
+        got = t.conv1d_same(x, w, b, lo, hi).data
+        ref = conv1d_same_ref(x, w, b)
+        assert got.shape == ref.shape
+        scale = max(1.0, np.abs(ref).max())
+        assert np.abs(got[:, :, lo:hi] - ref[:, :, lo:hi]).max() <= 1e-12 * scale
+        assert np.all(got[:, :, :lo] == 0.0) and np.all(got[:, :, hi:] == 0.0)
+
+    @pytest.mark.parametrize("lo,hi", [(2, 7), (3, 4), (0, 1), (8, 9)])
+    def test_row_range_gradients(self, lo, hi):
+        x = t.Tensor(RNG.standard_normal((2, 2, 9)), requires_grad=True)
+        w = t.Tensor(RNG.standard_normal((3, 2, 5)) * 0.4, requires_grad=True)
+        b = t.Tensor(RNG.standard_normal(3) * 0.2, requires_grad=True)
+        probe = RNG.standard_normal((2, 3, 9))
+
+        def f(i):
+            # the +1 gives the constant rows outside [lo, hi) a nonzero upstream gradient
+            return t.tsum(t.mul(t.square(t.add(t.conv1d_same(*i, lo, hi), 1.0)), probe))
+
+        assert gc(f, [x, w, b]) < 1e-4
+
+    @pytest.mark.parametrize("lo,hi", [(3, 3), (4, 2), (-1, 3), (0, 9)])
+    def test_bad_row_range_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="output rows"):
+            t.conv1d_same(np.zeros((1, 1, 8)), np.zeros((1, 1, 3)), np.zeros(1), lo, hi)
+
 
 class TestConv2dDilated:
     def test_centered_delta_identity(self):
@@ -377,9 +407,12 @@ class TestBandMapConv:
     def test_upper_matches_graph_op_on_upper_cells(self, T, edges, dilation, C, Co):
         starts, ends, w, b = _band_inputs(2, C, Co, T, edges)
         want = t.band_map_conv(starts, ends, edges, w, b, dilation).data
-        # time-major, only the times each band reads
-        read_s = [x.data[:, :, :T - lo].transpose(2, 0, 1) for x, lo in zip(starts, edges)]
-        read_e = [x.data[:, :, lo:].transpose(2, 0, 1) for x, lo in zip(ends, edges)]
+        # the same [B, C, T] sequences, with every row the trim rule leaves unread spoiled
+        read_s = [x.data.copy() for x in starts]
+        read_e = [x.data.copy() for x in ends]
+        for x_s, x_e, lo in zip(read_s, read_e, edges):
+            x_s[:, :, T - lo:] = np.nan
+            x_e[:, :, :lo] = np.nan
         got = t.band_map_conv_upper(read_s, read_e, edges, w.data, b.data, dilation)
         rows, cols = t.upper_cells(T)
         assert got.shape == (T * (T + 1) // 2, 2, Co)
