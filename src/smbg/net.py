@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -38,6 +38,14 @@ from . import tensor as t
 
 class BandSpecError(ValueError):
     """A band spec that does not fit its temporal length."""
+
+
+class ModelFieldError(ValueError):
+    """A ModelConfig field of the wrong type or out of range; .field names it."""
+
+    def __init__(self, field, problem):
+        super().__init__(f"{field.replace('_', ' ')} {problem}")
+        self.field, self.problem = field, problem
 
 
 @dataclass
@@ -148,18 +156,28 @@ class ModelConfig:
     boundary_hidden: int = 0          # 0 -> N // 2
     sec_hidden: int = 128
     dilation: int = 7
-    band_spec: BandSpec = field(default_factory=default_band_spec)
+    band_spec: BandSpec = None        # None -> default_band_spec(temporal_length)
 
     def __post_init__(self):
-        if isinstance(self.band_spec, dict):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, (int, np.integer))):
+                raise ModelFieldError(f.name, f"must be an integer, got {value!r}")
+        if self.temporal_length < 1:
+            raise ModelFieldError("temporal_length", f"must be >= 1, got {self.temporal_length}")
+        if self.dilation < 1:
+            raise ModelFieldError("dilation", f"must be >= 1, got {self.dilation}")
+        if self.band_spec is None:
+            self.band_spec = default_band_spec(self.temporal_length)
+        elif isinstance(self.band_spec, dict):
             try:
                 self.band_spec = BandSpec(**self.band_spec)
-            except TypeError as e:
+            except (TypeError, ValueError) as e:
                 raise BandSpecError(f"malformed band spec ({e})") from None
-        if self.temporal_length < 1:
-            raise ValueError(f"temporal length must be >= 1, got {self.temporal_length}")
-        if self.dilation < 1:
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
+        elif not isinstance(self.band_spec, BandSpec):
+            raise BandSpecError(f"band spec must be an object with edges and kernel_sizes, "
+                                f"got {self.band_spec!r}")
         if not self.band_channels:
             self.band_channels = self.base_channels
         if not self.boundary_hidden:
@@ -544,6 +562,8 @@ def net_from_arrays(header, arrays, where):
         config = ModelConfig(**drop_mask_mode(header["model_config"], where))
     except BandSpecError as e:
         raise ValueError(f"{where}: model_config.band_spec: {e}") from None
+    except ModelFieldError as e:
+        raise ValueError(f"{where}: model_config.{e.field} {e.problem}") from None
     except TypeError as e:  # an unknown field
         raise ValueError(f"{where}: model_config: {e}") from None
     net = SmbgNet._unfilled(config)

@@ -23,7 +23,7 @@ import numpy as np
 from . import evalkit, losses, postprocess, tensor as t
 from .labels import (MAP_LABEL_MODES, ActionInstance, TemporalGrid, build_label_set,
                      load_annotations, save_annotations)
-from .net import (BandSpec, BandSpecError, ModelConfig, SmbgNet, default_band_spec,
+from .net import (BandSpecError, ModelConfig, ModelFieldError, SmbgNet,
                   drop_mask_mode, load_arrays, load_checkpoint, net_from_arrays,
                   save_arrays, save_checkpoint)
 
@@ -102,18 +102,18 @@ class RunConfig:
         if self.map_label_mode not in MAP_LABEL_MODES:
             raise ValueError(f"RunConfig.map_label_mode must be one of {MAP_LABEL_MODES}, "
                              f"got {self.map_label_mode!r}")
-        if self.model_temporal_length < 1:
-            name = "window_length" if self.window_mode else "temporal_length"
-            raise ValueError(f"RunConfig.{name} must be >= 1, got {self.model_temporal_length}")
-        if self.band_spec is None:
-            self.band_spec = asdict(default_band_spec(self.model_temporal_length))
         try:
-            self.model_config()
-        except (TypeError, BandSpecError) as e:
-            raise ValueError(f"RunConfig.band_spec {self.band_spec!r} does not fit "
+            model = self.model_config()
+        except BandSpecError as e:
+            raise ValueError(f"RunConfig.band_spec {self.band_spec!r} is invalid for "
                              f"T={self.model_temporal_length}: {e}") from None
-        except ValueError as e:
-            raise ValueError(f"RunConfig: {e}") from None
+        except ModelFieldError as e:
+            name = e.field
+            if name == "temporal_length" and self.window_mode:
+                name = "window_length"
+            raise ValueError(f"RunConfig.{name} {e.problem}") from None
+        if self.band_spec is None:
+            self.band_spec = asdict(model.band_spec)
 
     @property
     def model_temporal_length(self):
@@ -129,7 +129,7 @@ class RunConfig:
             boundary_hidden=self.boundary_hidden,
             sec_hidden=self.sec_hidden,
             dilation=self.dilation,
-            band_spec=BandSpec(**self.band_spec),
+            band_spec=self.band_spec,
         )
 
     def sampling_config(self, rng_seed=0):
@@ -527,9 +527,14 @@ def infer(config, checkpoint_path, dataset, out_path=None):
     """Forward + fuse + Soft-NMS per video; top proposals as {vid: [...]}.
 
     All views, in sorted-video order, go through the network in batches of
-    config.batch_size. A video is merged (window mode) and suppressed as soon
-    as its last view is through, so memory holds one batch plus one video's
-    candidates. Proposal ends are clamped to the video's duration.
+    config.batch_size. A video is finished as soon as its last view is
+    through: its candidates are merged (window mode), and the videos
+    finished by one batch are suppressed together by
+    postprocess.soft_nms_batch, which gives each video the bytes soft_nms
+    gives it alone. Memory holds one batch plus the padded candidates of
+    the videos finishing in it; videos of similar counts share a layout, so
+    padding at most doubles them. Proposal ends are clamped to the video's
+    duration.
     """
     net, header = load_checkpoint(checkpoint_path)
     T = net.config.temporal_length
@@ -547,6 +552,7 @@ def infer(config, checkpoint_path, dataset, out_path=None):
     parts = []  # (t_starts, t_ends, scores) per view of the video being collected
     stream = flat_views()
     while batch := list(itertools.islice(stream, config.batch_size)):
+        finished = {}  # vid -> candidates, for each video whose last view is in this batch
         x = np.stack([view[0] for _, view, _ in batch])
         what = f"videos {list(dict.fromkeys(vid for vid, _, _ in batch))}"
         p_s, p_e, p_c, p_r = _forward_arrays(net, x, what)
@@ -558,12 +564,14 @@ def infer(config, checkpoint_path, dataset, out_path=None):
                           sc[keep]))
             if not last:
                 continue
-            ts, te, sc = (np.concatenate(a) for a in zip(*parts))
+            cands = tuple(np.concatenate(a) for a in zip(*parts))
             parts = []
             if config.window_mode:
-                ts, te, sc = postprocess.merge_window_duplicates(ts, te, sc)
-            ts, te, sc = postprocess.soft_nms(ts, te, sc, config.snms_sigma,
-                                              config.snms_floor, config.max_proposals)
+                cands = postprocess.merge_window_duplicates(*cands)
+            finished[vid] = cands
+        kept = postprocess.soft_nms_batch(list(finished.values()), config.snms_sigma,
+                                          config.snms_floor, config.max_proposals)
+        for vid, (ts, te, sc) in zip(finished, kept):
             proposals[vid] = [postprocess.ScoredProposal(float(a), float(b), float(s))
                               for a, b, s in zip(ts, te, sc)]
     if out_path:

@@ -1,4 +1,11 @@
-"""Score fusion and Soft-NMS: network outputs to a ranked proposal list."""
+"""Score fusion and Soft-NMS: network outputs to a ranked proposal list.
+
+fuse_scores turns one view's maps into dense candidates;
+merge_window_duplicates collapses the near-copies overlapping windows
+make; soft_nms_batch suppresses several videos' candidates at once, one
+padded row per video in layouts of similar counts, and gives each row the
+bytes soft_nms gives that video alone (soft_nms is its one-video form).
+"""
 
 from __future__ import annotations
 
@@ -39,37 +46,130 @@ def fuse_scores(p_s, p_e, p_c, p_r, grid):
 
 def soft_nms(t_starts, t_ends, scores, sigma=SOFT_NMS_SIGMA,
              score_floor=SCORE_FLOOR, max_out=MAX_PROPOSALS):
-    """Gaussian-decay suppression.
+    """Gaussian-decay suppression of one video's candidates.
 
     Repeatedly selects the highest-scoring remaining proposal (ties break
     toward the earlier start, then earlier end) and decays every other
     remaining score by exp(-iou^2 / sigma) against it. Stops after
     max_out selections or when everything left is below score_floor.
-    Returns (t_starts, t_ends, scores) ranked by final score.
+    Returns (t_starts, t_ends, scores) ranked by final score. One row of
+    soft_nms_batch, which gives the same bytes.
+    """
+    return soft_nms_batch([(t_starts, t_ends, scores)], sigma, score_floor, max_out)[0]
+
+
+def soft_nms_batch(candidates, sigma=SOFT_NMS_SIGMA, score_floor=SCORE_FLOOR,
+                   max_out=MAX_PROPOSALS):
+    """soft_nms of every video in `candidates`, a list of (t_starts, t_ends,
+    scores), each pick step run once for a group of them.
+
+    Videos of similar counts share one padded layout (see _count_groups),
+    so padding at most doubles the cells a pick step passes over, however
+    ragged the batch; each row gets the bytes soft_nms gives that video
+    alone, whatever the other rows hold.
+    Returns one (t_starts, t_ends, scores) per video, ranked by final score.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    t_starts = np.asarray(t_starts, dtype=np.float64)
-    t_ends = np.asarray(t_ends, dtype=np.float64)
-    # in (start, end) order the first maximum is the documented tie-break
-    order = np.lexsort((t_ends, t_starts))
-    t_starts, t_ends = t_starts[order], t_ends[order]
-    live = np.asarray(scores, dtype=np.float64)[order]
-    picked, kept = [], []
-    for _ in range(min(max_out, live.size)):
-        i = int(np.argmax(live))
-        if live[i] < score_floor:
-            break
-        picked.append(i)
-        kept.append(live[i])
-        live[i] = -np.inf
-        ious = interval_iou(t_starts[i], t_ends[i], t_starts, t_ends)
-        # picked entries stay -inf even where the decay underflows to 0
-        np.multiply(live, np.exp(-(ious * ious) / sigma), out=live, where=live > -np.inf)
-    picked, kept = np.array(picked, dtype=np.intp), np.array(kept)
-    rank = np.lexsort((t_ends[picked], t_starts[picked], -kept))
-    picked = picked[rank]
-    return t_starts[picked], t_ends[picked], kept[rank]
+    rows_in = []  # per video: t_starts, t_ends, scores, (start, end) order
+    for t_starts, t_ends, scores in candidates:
+        t_starts = np.asarray(t_starts, dtype=np.float64)
+        t_ends = np.asarray(t_ends, dtype=np.float64)
+        scores = np.asarray(scores, dtype=np.float64)
+        rows_in.append((t_starts, t_ends, scores, np.lexsort((t_ends, t_starts))))
+    out = [None] * len(rows_in)
+    for group in _count_groups([r[3].size for r in rows_in]):
+        kept = _soft_nms_layout([rows_in[v] for v in group], sigma, score_floor, max_out)
+        for v, row in zip(group, kept):
+            out[v] = row
+    return out
+
+
+def _count_groups(counts):
+    """Video indices in groups of similar count: ascending, each group's
+    largest count at most twice its smallest."""
+    by_count = np.argsort(counts, kind="stable")
+    sorted_counts = np.asarray(counts, dtype=np.intp)[by_count]
+    groups, a = [], 0
+    while a < by_count.size:
+        b = np.searchsorted(sorted_counts, 2 * sorted_counts[a], side="right")
+        groups.append(by_count[a:b])
+        a = b
+    return groups
+
+
+def _soft_nms_layout(rows_in, sigma, score_floor, max_out):
+    """soft_nms of the videos in rows_in, as rows of one padded [V, N] layout.
+
+    Each row is in its own (start, end) order, where the first maximum is
+    the documented tie-break. A pick is a row-wise argmax; the decay is a
+    few in-place passes over the whole layout with the float operations of
+    labels.interval_iou, so each row gets the bytes soft_nms gives that
+    video alone. A picked or padding cell scores -inf and ends at inf: its
+    union with any pick is inf and its IoU 0, so its decay is exactly 1 and
+    it stays -inf (a decay that underflows to 0 would make it NaN). Where
+    the pick has positive length the union is positive, so only a row whose
+    pick has length <= 0 needs interval_iou's zero-union guard. A row
+    leaves the layout after min(max_out, its count) picks or when its best
+    score is below score_floor. Times are assumed finite.
+    """
+    counts = np.array([r[3].size for r in rows_in], dtype=np.intp)
+    V, N = len(rows_in), int(counts.max(initial=0))
+    ts, te, live = np.full((V, N), np.inf), np.full((V, N), np.inf), np.full((V, N), -np.inf)
+    for v, (t_starts, t_ends, scores, order) in enumerate(rows_in):
+        ts[v, :order.size] = t_starts[order]
+        te[v, :order.size] = t_ends[order]
+        live[v, :order.size] = scores[order]
+    none = np.empty(0, dtype=np.intp)
+    log = [(none, none, np.empty(0))]           # (rows, columns, scores) per pick step
+    rows = np.arange(V)                         # video of each layout row
+    todo = np.minimum(counts, max(max_out, 0))  # picks left per layout row
+    here = np.arange(V)
+    iou, union, low = (np.empty_like(live) for _ in range(3))
+    neg_sigma = -sigma  # x / -sigma has the bits of -x / sigma
+    go = todo > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        while go.any():
+            if not go.all():  # drop finished rows, and the padding only they needed
+                rows, todo = rows[go], todo[go]
+                width = int(counts[rows].max())
+                ts, te, live = (a[go, :width] for a in (ts, te, live))
+                iou, union, low = (np.empty_like(live) for _ in range(3))
+                here = np.arange(rows.size)
+            best = np.argmax(live, axis=1)
+            top = live[here, best]
+            take = ~(top < score_floor)
+            log.append((rows[take], best[take], top[take]))
+            todo -= 1
+            todo[~take] = 0
+            go = todo > 0
+            a0, a1 = ts[here, best][:, None], te[here, best][:, None]
+            live[here, best] = -np.inf
+            te[here, best] = np.inf
+            # a row that stopped decays too; it leaves the layout before the next pick
+            np.minimum(a1, te, out=iou)
+            np.subtract(iou, np.maximum(a0, ts, out=low), out=iou)
+            np.maximum(0.0, iou, out=iou)
+            np.maximum(a1, te, out=union)
+            np.subtract(union, np.minimum(a0, ts, out=low), out=union)
+            np.divide(iou, union, out=iou)
+            flat = (a1 <= a0)[:, 0]
+            if flat.any():
+                iou[flat] = interval_iou(a0[flat], a1[flat], ts[flat], te[flat])
+            np.multiply(iou, iou, out=iou)
+            np.divide(iou, neg_sigma, out=iou)
+            np.exp(iou, out=iou)
+            np.multiply(live, iou, out=live)
+    rows, cols, kept = (np.concatenate(a) for a in zip(*log))
+    by_row = np.argsort(rows, kind="stable")  # each row's picks in pick order
+    bounds = np.cumsum(np.bincount(rows, minlength=V))[:-1]
+    out = []
+    for (t_starts, t_ends, _, order), picked, scores in zip(
+            rows_in, np.split(cols[by_row], bounds), np.split(kept[by_row], bounds)):
+        t_s, t_e = t_starts[order[picked]], t_ends[order[picked]]
+        rank = np.lexsort((t_e, t_s, -scores))
+        out.append((t_s[rank], t_e[rank], scores[rank]))
+    return out
 
 
 def merge_window_duplicates(t_starts, t_ends, scores, iou_threshold=0.95):

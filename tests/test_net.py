@@ -1,15 +1,16 @@
 """Network blocks: masks, band layer + oracle, heads, baseline, checkpoints."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smbg import tensor as t
-from smbg.net import (BandSpec, BmnConfig, BmnPfgReference, ModelConfig, SmbgNet,
-                      band_cells, build_masks, default_band_spec, load_checkpoint,
-                      mpfg_naive_oracle, save_arrays, save_checkpoint)
+from smbg.net import (BandSpec, BandSpecError, BmnConfig, BmnPfgReference, ModelConfig,
+                      ModelFieldError, SmbgNet, band_cells, build_masks, default_band_spec,
+                      load_checkpoint, mpfg_naive_oracle, save_arrays, save_checkpoint)
 
 RNG = t.init_rng(77)
 
@@ -117,6 +118,23 @@ class TestBaseAndBoundary:
     def test_bad_temporal_length_rejected(self):
         with pytest.raises(ValueError, match="temporal length"):
             ModelConfig(in_channels=3, temporal_length=0)
+
+    # every integer field, including any added later, is type-checked by name
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig) if f.type == "int"])
+    @pytest.mark.parametrize("value", [4.0, "4", True])
+    def test_integer_field_of_wrong_type_named(self, name, value):
+        with pytest.raises(ModelFieldError) as info:
+            tiny_config(**{name: value})
+        assert info.value.field == name
+        assert info.value.problem == f"must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("spec", [[0, 8], {"edges": [0, "a"], "kernel_sizes": [3]}])
+    def test_malformed_band_spec_is_band_spec_error(self, spec):
+        with pytest.raises(BandSpecError):
+            tiny_config(bands=spec)
+
+    def test_band_spec_defaults_to_temporal_length(self):
+        assert ModelConfig(temporal_length=40).band_spec == default_band_spec(40)
 
     def test_boundary_outputs_in_open_unit_interval(self):
         net = SmbgNet(tiny_config(), seed=1)
@@ -583,6 +601,13 @@ class TestCheckpoint:
         path = self._saved_with_model_config(tmp_path, cfg)
         with pytest.raises(ValueError, match=r"bad\.ckpt: model_config\.band_spec: band "
                                              r"edges must reach T=8, got 10"):
+            load_checkpoint(path)
+
+    def test_field_of_wrong_type_named(self, tmp_path):
+        cfg = dict(tiny_config().to_dict(), dilation="2")
+        path = self._saved_with_model_config(tmp_path, cfg)
+        with pytest.raises(ValueError, match=r"bad\.ckpt: model_config\.dilation must be an "
+                                             r"integer, got '2'$"):
             load_checkpoint(path)
 
     def test_forward_after_roundtrip_identical(self, tmp_path):

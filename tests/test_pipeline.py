@@ -330,12 +330,14 @@ class TestRunConfig:
         dict(window_mode=True, window_length=32),                  # model T is 32
         dict(band_spec={"edges": [0, 6, 20], "kernel_sizes": [3, 4]}),
         dict(band_spec={"edges": [0, 20]}),
+        dict(band_spec=[0, 20]),
+        dict(band_spec={"edges": [0, "a"], "kernel_sizes": [3]}),
     ])
     def test_band_spec_checked_at_config_time(self, tmp_path, kw):
         with pytest.raises(ValueError, match=r"RunConfig\.band_spec"):
             tiny_run_config(tmp_path, **kw)
 
-    # a ModelConfig error reads "RunConfig: ...", a RunConfig field "RunConfig.<field> ..."
+    # a ModelConfig field error is named by the RunConfig field it came from
     @pytest.mark.parametrize("kw, message", [
         (dict(dilation=0), "dilation must be >= 1"),
         (dict(temporal_length=0), "temporal_length must be >= 1, got 0"),
@@ -343,8 +345,19 @@ class TestRunConfig:
          "window_length must be >= 1, got 0"),
     ])
     def test_model_fields_checked_at_config_time(self, tmp_path, kw, message):
-        with pytest.raises(ValueError, match=rf"^RunConfig(: |\.){message}"):
+        with pytest.raises(ValueError, match=rf"^RunConfig\.{message}"):
             tiny_run_config(tmp_path, **kw)
+
+    # a value of the wrong type is named by its field, not blamed on the band spec
+    @pytest.mark.parametrize("kw, field", [
+        (dict(dilation="7"), "dilation"),
+        (dict(temporal_length=100.5), "temporal_length"),
+        (dict(window_mode=True, window_length=128.0), "window_length"),
+    ])
+    def test_model_field_of_wrong_type_named(self, kw, field):
+        with pytest.raises(ValueError, match=rf"^RunConfig\.{field} must be an integer, "
+                                             rf"got {re.escape(repr(kw[field]))}$"):
+            pl.RunConfig(**kw)
 
     def test_model_temporal_length_tracks_mode(self, tmp_path):
         cfg = tiny_run_config(tmp_path, window_mode=True, window_length=32,
@@ -529,6 +542,38 @@ class TestInference:
         assert batches == [9]
         assert (tmp_path / "b4.json").read_bytes() == (tmp_path / "b16.json").read_bytes()
 
+    @pytest.mark.parametrize("window", [False, True], ids=["rescale", "window"])
+    def test_proposal_bytes_do_not_depend_on_batch_size(self, tmp_path, monkeypatch, window):
+        cfg = tiny_run_config(tmp_path, **(TINY_WINDOW if window else {}))
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
+        rng = np.random.default_rng(11)
+        dataset = {f"v{k}": {"features": rng.standard_normal((4, frames)),
+                             "duration_seconds": float(rng.uniform(20.0, 300.0)),
+                             "instances": []}
+                   for k, frames in enumerate([17, 60, 23, 41, 90, 30, 16])}
+        rows = []  # candidate counts of each soft_nms_batch call
+        soft_nms_batch = pp.soft_nms_batch
+
+        def counting(cands, *args):
+            rows.append([c[0].size for c in cands])
+            return soft_nms_batch(cands, *args)
+
+        monkeypatch.setattr(pp, "soft_nms_batch", counting)
+        written = []
+        for b in (1, 3, 16):
+            rows.clear()
+            path = tmp_path / f"b{b}.json"
+            pl.infer(pl.RunConfig.from_dict(dict(cfg.to_dict(), batch_size=b)), ckpt,
+                     dataset, str(path))
+            written.append(path.read_bytes())
+        # at batch 16 the videos share forwards and are suppressed together
+        if window:
+            assert any(len(set(r)) > 1 for r in rows)
+        else:
+            assert rows == [[210] * 7]
+        assert written[0] == written[1] == written[2]
+
     def test_runs_predict_without_batchnorm_or_map_convs(self, tmp_path, monkeypatch):
         cfg = tiny_run_config(tmp_path)
         spec = pl.SyntheticSpec(num_videos=5, channels=4, seed=2, duration_range=(30, 60))
@@ -625,13 +670,13 @@ class TestInference:
         save_checkpoint(ckpt, SmbgNet(cfg.model_config(), seed=0))
         rng = np.random.default_rng(7)
         candidates = []
-        soft_nms = pp.soft_nms
+        soft_nms_batch = pp.soft_nms_batch
 
-        def keeping_soft_nms(ts, te, sc, *args):
-            candidates.append(te)
-            return soft_nms(ts, te, sc, *args)
+        def keeping_soft_nms_batch(cands, *args):
+            candidates.extend(te for _, te, _ in cands)
+            return soft_nms_batch(cands, *args)
 
-        monkeypatch.setattr(pp, "soft_nms", keeping_soft_nms)
+        monkeypatch.setattr(pp, "soft_nms_batch", keeping_soft_nms_batch)
         dataset = {}
         for k in range(24):
             frames = int(rng.integers(130, 701))

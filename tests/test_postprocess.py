@@ -175,6 +175,92 @@ class TestSoftNms:
             np.testing.assert_array_equal(g, w)
 
 
+def _nms_row(rng, n):
+    """n candidates on coarse grids: ties in score and in (start, end), exact
+    duplicates, zero-length intervals and zero scores."""
+    ts = rng.integers(0, 20, n).astype(float)
+    te = ts + rng.integers(0, 8, n)
+    sc = rng.integers(0, 6, n) / 5.0
+    dup = rng.integers(0, max(n, 1), n // 4 if n else 0)
+    ts, te, sc = (np.concatenate([a, a[dup]])[:n] for a in (ts, te, sc))
+    perm = rng.permutation(n)
+    return ts[perm], te[perm], sc[perm]
+
+
+class TestSoftNmsBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.lists(st.integers(0, 300), min_size=1, max_size=6),
+           st.sampled_from([0.4, 1e-6, 5.0]), st.sampled_from([1e-4, 0.0]),
+           st.integers(0, 320))
+    @example(0, [0, 1, 300], 1e-6, 0.0, 320)
+    @example(1, [1], 0.4, 1e-4, 0)
+    @example(2, [300, 0, 7, 300, 1, 40], 1e-6, 1e-4, 5)
+    def test_rows_equal_oracle_alone_in_batch_and_at_any_position(
+            self, seed, sizes, sigma, floor, max_out):
+        rng = t.init_rng(seed)
+        rows = [_nms_row(rng, n) for n in sizes]
+        want = [soft_nms_oracle(*row, sigma, floor, max_out) for row in rows]
+        got = pp.soft_nms_batch(rows, sigma, floor, max_out)
+        assert len(got) == len(rows)
+        for g, w, row in zip(got, want, rows):
+            assert_same_arrays(g, w)
+            assert_same_arrays(pp.soft_nms(*row, sigma, floor, max_out), w)
+        for k in range(1, len(rows)):
+            rolled = pp.soft_nms_batch(rows[k:] + rows[:k], sigma, floor, max_out)
+            for g, w in zip(rolled, want[k:] + want[:k]):
+                assert_same_arrays(g, w)
+
+    def test_each_row_stops_at_its_own_count_whatever_the_floor(self):
+        rng = t.init_rng(4)
+        rows = [_nms_row(rng, n) for n in (3, 0, 12, 1)]
+        for floor in (-np.inf, 0.0, 0.5):
+            got = pp.soft_nms_batch(rows, 0.4, floor, 10)
+            for row, g in zip(rows, got):
+                assert_same_arrays(g, soft_nms_oracle(*row, 0.4, floor, 10))
+                assert g[2].size <= min(10, row[0].size)
+                if floor == -np.inf:
+                    assert g[2].size == min(10, row[0].size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 10 ** 6), max_size=20))
+    def test_count_groups_partition_with_padding_at_most_double(self, counts):
+        groups = pp._count_groups(counts)
+        assert sorted(np.concatenate(groups + [np.empty(0, int)]).tolist()) == list(
+            range(len(counts)))
+        sizes = [np.asarray(counts)[g] for g in groups]
+        for a, b in zip(sizes, sizes[1:]):
+            assert a.max() < b.min()
+        for c in sizes:
+            assert c.max() <= 2 * c.min()
+
+    def test_ragged_batch_runs_in_layouts_of_similar_counts(self):
+        rng = t.init_rng(5)
+        sizes = (2000, 40, 0, 55, 1100, 3, 90, 1)
+        rows = [_nms_row(rng, n) for n in sizes]
+        layouts = []
+        real = pp._soft_nms_layout
+
+        def spy(rows_in, *args):
+            layouts.append([r[0].size for r in rows_in])
+            return real(rows_in, *args)
+
+        with mock.patch.object(pp, "_soft_nms_layout", spy):
+            got = pp.soft_nms_batch(rows, 0.4, 1e-4, 100)
+        assert sorted(n for layout in layouts for n in layout) == sorted(sizes)
+        assert all(max(layout) <= 2 * min(layout) for layout in layouts)
+        assert sorted(layouts) == [[0], [1], [3], [40, 55], [90], [1100, 2000]]
+        for g, row in zip(got, rows):
+            assert_same_arrays(g, soft_nms_oracle(*row, 0.4, 1e-4, 100))
+
+    def test_empty_batch(self):
+        assert pp.soft_nms_batch([]) == []
+
+    def test_invalid_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            pp.soft_nms_batch([(np.array([0.0]), np.array([1.0]), np.array([0.5]))], 0.0)
+
+
 def soft_nms_oracle(t_starts, t_ends, scores, sigma=pp.SOFT_NMS_SIGMA,
                     score_floor=pp.SCORE_FLOOR, max_out=pp.MAX_PROPOSALS):
     """Soft-NMS with explicit alive-index bookkeeping and per-pick tie handling."""
