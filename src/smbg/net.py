@@ -10,18 +10,19 @@ The proposal feature map is assembled from per-duration-band 1D
 convolutions evaluated only at the start and end positions of each cell,
 which is what makes the layer cheap compared with dense boundary-matching
 sampling; ``SmbgNet.band_sequences`` runs them for every forward. The
-production forward never materializes that map: the first
+one forward, ``SmbgNet.forward``, never materializes that map: the first
 confidence-head conv reads the band sequences directly
-(``tensor.band_map_conv``). The dense map path (``mpfg_forward`` +
-``sec_head``) stays as the reference it is checked against. Inference
-runs ``SmbgNet.predict``, which computes only the upper-triangle cells it
-returns, with eval batchnorm folded into the 1x1 convs; ``forward`` is
-the training graph and the reference ``predict`` is checked against. The
-speed benchmark (``costmodel.bench``) times the band layer as
-``mpfg_forward`` under ``tensor.no_grad``, the same ops that training
-runs. A BMN-style sampling generator is included purely as the
-efficiency baseline for the cost model and benchmarks; it is the only
-code here that calls raw numpy conv kernels directly.
+(``tensor.band_map_conv``) and computes packed cells, the upper triangle
+e >= s plus, in training, the lower triangle that batch statistics pool.
+Eval mode folds each batchnorm into the 1x1 conv after it, and
+``SmbgNet.predict``, which inference runs, is the eval forward without a
+graph. The dense map path (``mpfg_forward`` + ``sec_head``) stays as the
+reference it is checked against. The speed benchmark
+(``costmodel.bench``) times the band layer as ``mpfg_forward`` under
+``tensor.no_grad``, the same ops that training runs. A BMN-style
+sampling generator is included purely as the efficiency baseline for the
+cost model and benchmarks; it is the only code here that calls raw numpy
+conv kernels directly.
 """
 
 from __future__ import annotations
@@ -300,62 +301,53 @@ class SmbgNet:
 
     def sec_head(self, f_p, train=False):
         """Confidence head over a dense proposal feature map (reference path)."""
-        return self._sec_tail(self.sec_dil(f_p), train)
-
-    def _sec_tail(self, h, train):
-        """Everything after the first map conv: relu/bn, 1x1 convs, sigmoid."""
-        h = t.batchnorm_lite(t.relu(h), self.sec_bn1, train)
-        h = t.batchnorm_lite(t.relu(self.sec_c1(h)), self.sec_bn2, train)
-        h = t.batchnorm_lite(t.relu(self.sec_c2(h)), self.sec_bn3, train)
-        out = t.sigmoid(self.sec_c3(h))
+        out = self._sec_tail(self.sec_dil(f_p), train)
         return t.select_channel(out, 0), t.select_channel(out, 1)
 
-    def forward(self, x, train=False):
-        """Full pass: features -> (P_s, P_e, P_c, P_r).
+    def _sec_tail(self, h, train):
+        """Everything after the first map conv, [B, H, ...] cells -> [B, 2, ...]
+        (relu/bn, 1x1 convs, sigmoid). Eval mode folds each batchnorm into the
+        1x1 conv after it and runs on raw arrays, so its output has no graph;
+        its first relu overwrites h's data, which no caller reads again."""
+        if train:
+            h = t.batchnorm_lite(t.relu(h), self.sec_bn1, True)
+            h = t.batchnorm_lite(t.relu(self.sec_c1(h)), self.sec_bn2, True)
+            h = t.batchnorm_lite(t.relu(self.sec_c2(h)), self.sec_bn3, True)
+            return t.sigmoid(self.sec_c3(h))
+        B, H, *cells = h.shape
+        h = h.data.reshape(B, H, -1)
+        for bn, conv in ((self.sec_bn1, self.sec_c1), (self.sec_bn2, self.sec_c2),
+                         (self.sec_bn3, self.sec_c3)):
+            w, b = t.fold_batchnorm(bn, conv.w.data[:, :, 0, 0], conv.b.data)
+            np.maximum(h, 0.0, out=h)  # in place: a copy of a map-sized array at peak
+            h = np.matmul(w, h)
+            h += b[:, None]
+        return t.sigmoid(h.reshape(B, 2, *cells))
 
-        The first map conv reads the band sequences directly, so the
-        proposal feature map and its im2col are never allocated; the
-        result equals sec_head(mpfg_forward(f_b)).
+    def forward(self, x, train=False):
+        """Full pass: features -> (P_s, P_e, P_c, P_r), P_c and P_r [B, T, T].
+
+        The first map conv reads the band sequences directly, so the proposal
+        feature map is never built; it computes the cells e >= s, plus in
+        training the cells e < s that batch statistics pool. P_c and P_r
+        equal sec_head(mpfg_forward(f_b)) on the cells e >= s and are exactly
+        0 on the cells e < s.
         """
         f_b = self.base_module(x)
         p_s, p_e = self.boundary_head(f_b)
         starts, ends = self.band_sequences(f_b)
         h = t.band_map_conv(starts, ends, self.config.band_spec.edges, self.sec_dil.w,
-                            self.sec_dil.b, self.sec_dil.dilation)
-        p_c, p_r = self._sec_tail(h, train)
-        return {"f_b": f_b, "P_s": p_s, "P_e": p_e, "P_c": p_c, "P_r": p_r}
+                            self.sec_dil.b, self.sec_dil.dilation, lower=train)
+        maps = t.scatter_upper(self._sec_tail(h, train), self.config.temporal_length)
+        return {"f_b": f_b, "P_s": p_s, "P_e": p_e,
+                "P_c": t.select_channel(maps, 0), "P_r": t.select_channel(maps, 1)}
 
     def predict(self, x):
-        """Eval-mode (P_s, P_e, P_c, P_r) arrays of features x [B, C, T], no graph.
-
-        Computes only the cells e >= s that inference reads: sec_dil runs on
-        the packed upper triangle (tensor.band_map_conv_upper) and each eval
-        batchnorm is folded into the 1x1 conv after it. P_c and P_r are
-        [B, T, T] maps whose cells e < s are exactly 0. Equals
-        forward(x, train=False) on the cells e >= s to rounding; P_s and P_e
-        are bit-equal.
-        """
-        T = self.config.temporal_length
+        """forward(x, train=False) on features x [B, C, T] without a graph, as the
+        arrays (P_s, P_e, P_c, P_r)."""
         with t.no_grad():
-            f_b = self.base_module(t.Tensor(x))
-            p_s, p_e = self.boundary_head(f_b)
-            starts, ends = self.band_sequences(f_b)
-            h = t.band_map_conv_upper([s.data for s in starts], [e.data for e in ends],
-                                      self.config.band_spec.edges, self.sec_dil.w.data,
-                                      self.sec_dil.b.data, self.sec_dil.dilation)
-            P, B, H = h.shape
-            h = h.reshape(P * B, H)
-            for bn, conv in ((self.sec_bn1, self.sec_c1), (self.sec_bn2, self.sec_c2),
-                             (self.sec_bn3, self.sec_c3)):
-                w, b = t.fold_batchnorm(bn, conv.w.data[:, :, 0, 0], conv.b.data)
-                np.maximum(h, 0.0, out=h)
-                h = np.matmul(h, w.T)
-                h += b
-            out = t.sigmoid(h).data.reshape(P, B, 2)
-        maps = np.zeros((2, B, T, T))
-        rows, cols = t.upper_cells(T)
-        maps[:, :, rows, cols] = out.transpose(2, 1, 0)
-        return p_s.data, p_e.data, maps[0], maps[1]
+            out = self.forward(t.Tensor(x), train=False)
+        return tuple(out[k].data for k in ("P_s", "P_e", "P_c", "P_r"))
 
 
 def mpfg_naive_oracle(f_b, spec, net):

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -94,8 +94,17 @@ class RunConfig:
     synthetic: dict = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"RunConfig.{f.name} must be an integer, got {value!r}")
         if self.batch_size < 1:
             raise ValueError(f"RunConfig.batch_size must be >= 1, got {self.batch_size}")
+        if self.negative_ratio < 1:
+            raise ValueError(f"RunConfig.negative_ratio must be >= 1, got {self.negative_ratio}")
+        if not isinstance(self.snms_sigma, (int, float)) or not self.snms_sigma > 0:
+            raise ValueError(f"RunConfig.snms_sigma must be > 0, got {self.snms_sigma!r}")
         if not 0.0 <= self.window_overlap < 1.0:
             raise ValueError(f"RunConfig.window_overlap must be in [0, 1), "
                              f"got {self.window_overlap}")

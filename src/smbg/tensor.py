@@ -21,9 +21,10 @@ kernels (``conv1d_same_raw``, ``conv2d_dilated_raw``) are what the graph
 ops and their adjoints run; outside this module only the
 boundary-matching baseline and the tests call them. A 1-D conv computes
 only the output rows asked for (``band_rows``: those a band map reads).
-``band_map_conv_upper`` and ``fold_batchnorm`` serve ``SmbgNet.predict``
-alone: the first map conv on the upper triangle only, packed, and eval
-batchnorm folded into the 1x1 conv after it.
+``band_map_conv`` is the model's first map conv. It computes packed cells
+(the upper triangle e >= s, plus the lower one in training), and
+``scatter_upper`` writes the upper cells into [B, C, T, T] maps.
+``fold_batchnorm`` folds eval batchnorm into the 1x1 conv after it.
 """
 
 from __future__ import annotations
@@ -531,21 +532,24 @@ def assemble_band_maps(starts, ends, band_cells, T):
 
 @lru_cache(maxsize=16)
 def _band_map_plan(T, edges, k, dilation):
-    """Slice table of band_map_conv: one (d, entries) pair per output diagonal.
+    """Slice table of band_map_conv: one (off, m, entries) per output diagonal d = e - s,
+    in packed order d = 0..T-1, then -1..-(T-1); its m = T - |d| cells start at off.
 
     Tap (dy, dx) of output cell (s, s+d) reads input cell (s+oy, s+d+ox),
     oy = dilation*(dy - k//2), ox likewise. That cell lies on diagonal
     d' = d + ox - oy, so its band is fixed per (d, tap), and taps that land
     on the zero lower triangle (d' < 0) or off the map drop out. An entry
     (band, tap, lo, hi, u0, v0) adds U[band][tap, u0:u0+hi-lo] and
-    V[band][tap, v0:v0+hi-lo] to starts s in [lo, hi) of diagonal d.
+    V[band][tap, v0:v0+hi-lo] to cells lo..hi-1 of diagonal d, where cell
+    (s, s+d) is number s for d >= 0 and s + d for d < 0.
     """
     band_of = np.searchsorted(np.asarray(edges), np.arange(T), side="right") - 1
     c = k // 2
     taps = [(dy * k + dx, dilation * (dy - c), dilation * (dx - c))
             for dy in range(k) for dx in range(k)]
-    plan = []
-    for d in range(-(T - 1), T):
+    plan, off = [], 0
+    for d in (*range(T), *range(-1, -T, -1)):
+        i0 = min(d, 0)  # start s is cell s + i0 of its diagonal
         entries = []
         for tap, oy, ox in taps:
             dp = d + ox - oy
@@ -554,8 +558,9 @@ def _band_map_plan(T, edges, k, dilation):
             lo = max(0, -d, -oy, -d - ox)
             hi = min(T, T - d, T - oy, T - d - ox)
             if lo < hi:
-                entries.append((int(band_of[dp]), tap, lo, hi, lo + oy, lo + d + ox))
-        plan.append((d, tuple(entries)))
+                entries.append((int(band_of[dp]), tap, lo + i0, hi + i0, lo + oy, lo + d + ox))
+        plan.append((off, T - abs(d), tuple(entries)))
+        off += T - abs(d)
     return tuple(plan)
 
 
@@ -592,33 +597,19 @@ def _band_taps(starts, ends, edges, w):
     return reads, U
 
 
-def _diagonal_sums(U, plan, b, diagonals):
-    """The slice sums of band_map_conv, one output diagonal per plan entry.
-
-    diagonals yields one [T', B, Co] array per (d, entries) of plan, indexed
-    by start s; each is set to b plus its entries' slices of _band_taps' U.
-    """
-    nb = len(U) // 2
-    for (_, entries), acc in zip(plan, diagonals, strict=True):
-        acc[...] = b
-        for band, tap, lo, hi, u0, v0 in entries:
-            n = hi - lo
-            acc[lo:hi] += U[band][tap, u0:u0 + n]
-            acc[lo:hi] += U[nb + band][tap, v0:v0 + n]
-
-
-def band_map_conv(starts, ends, edges, w, b, dilation=1):
+def band_map_conv(starts, ends, edges, w, b, dilation=1, lower=False):
     """Dilated 'same' conv over the duration-band proposal map, never built.
 
     Equals conv2d_dilated(assemble_band_maps(starts, ends, cells, T), w, b,
     dilation) where cells are the duration bands of `edges` (cell (s, e) is
-    in band i iff edges[i] <= e - s < edges[i+1]). Every map cell is a
-    band's start feature at s stacked on its end feature at e, so each tap
-    is one matmul per band over the rows band_rows(edges) names
-    (U = W_tap[:, :C] @ S, V = W_tap[:, C:] @ E), and each output diagonal
-    is a sum of contiguous slices of U and V. All T*T output cells are
-    produced, including the lower triangle, which sees the bands through
-    the taps that reach across the main diagonal.
+    in band i iff edges[i] <= e - s < edges[i+1]) on the cells it computes.
+    Every map cell is a band's start feature at s stacked on its end feature
+    at e, so each tap is one matmul per band over the rows band_rows(edges)
+    names (U = W_tap[:, :C] @ S, V = W_tap[:, C:] @ E), and each output
+    diagonal is a sum of contiguous slices of U and V. The output is packed
+    cells [B, Co, n, 1]: the T(T+1)/2 cells e >= s in upper_cells(T) order,
+    then with lower=True (training, whose batch statistics pool every cell)
+    the cells e < s, diagonal d = -1 down to -(T-1), each by e.
     """
     starts = [_as_tensor(s) for s in starts]
     ends = [_as_tensor(e) for e in ends]
@@ -642,29 +633,27 @@ def band_map_conv(starts, ends, edges, w, b, dilation=1):
     K = kh * kw
     nb = len(starts)
     plan = _band_map_plan(T, edges, kh, int(dilation))
+    plan = plan if lower else plan[:T]
     reads, U = _band_taps([x.data for x in starts], [x.data for x in ends], edges, w.data)
-    # diagonal-major output: diags[d + T-1, s] is cell (s, s+d)
-    diags = np.empty((2 * T - 1, T, B, Co))
-    _diagonal_sums(U, plan, b.data, diags)
-    del U
-    # row s of the map is diags[T-1-s : 2T-1-s, s]; one small transpose per row
-    out_data = np.empty((B, Co, T, T))
-    for s in range(T):
-        out_data[:, :, s, :] = diags[T - 1 - s:2 * T - 1 - s, s].transpose(1, 2, 0)
-    del diags
+    out_data = np.empty((B, Co, plan[-1][0] + plan[-1][1], 1))
+    acc = np.empty((T, B, Co))
+    for off, m, entries in plan:
+        # summed diagonal-major, then one copy into the channel-first output
+        a = acc[:m]
+        a[...] = b.data
+        for band, tap, lo, hi, u0, v0 in entries:
+            a[lo:hi] += U[band][tap, u0:u0 + hi - lo]
+            a[lo:hi] += U[nb + band][tap, v0:v0 + hi - lo]
+        out_data[:, :, off:off + m, 0] = a.transpose(1, 2, 0)
+    del U, acc
 
     def backward(g):
-        g_diags = np.empty((2 * T - 1, T, B, Co))
-        for s in range(T):
-            g_diags[T - 1 - s:2 * T - 1 - s, s] = g[:, :, s, :].transpose(2, 0, 1)
         gU = [np.zeros((K, T, B, Co)) for _ in reads]
-        for d, entries in plan:
-            gd = g_diags[d + T - 1]
+        for off, m, entries in plan:
+            gd = np.ascontiguousarray(g[:, :, off:off + m, 0].transpose(2, 0, 1))
             for band, tap, lo, hi, u0, v0 in entries:
-                n = hi - lo
-                gU[band][tap, u0:u0 + n] += gd[lo:hi]
-                gU[nb + band][tap, v0:v0 + n] += gd[lo:hi]
-        del g_diags
+                gU[band][tap, u0:u0 + hi - lo] += gd[lo:hi]
+                gU[nb + band][tap, v0:v0 + hi - lo] += gd[lo:hi]
         w_halves = _kernel_halves(w.data, C)
         gw = np.zeros((2, C, K * Co))
         g_seqs = []
@@ -692,17 +681,23 @@ def upper_cells(T):
     return rows, cols
 
 
-def band_map_conv_upper(starts, ends, edges, w, b, dilation=1):
-    """band_map_conv on the cells e >= s only, packed; raw [B, C, T] arrays, no
-    graph. Returns [T(T+1)/2, B, Co] in upper_cells(T) order."""
-    edges = tuple(int(e) for e in edges)
-    T = edges[-1]
-    _, U = _band_taps(starts, ends, edges, w)
-    out = np.empty((T * (T + 1) // 2, starts[0].shape[0], w.shape[0]))
-    # plan[T-1:] are the diagonals d >= 0; diagonal d is T - d packed rows
-    _diagonal_sums(U, _band_map_plan(T, edges, w.shape[2], int(dilation))[T - 1:], b,
-                   np.split(out, np.cumsum(np.arange(T, 1, -1))))
-    return out
+def scatter_upper(x, T):
+    """[B, C, T, T] maps of packed cells x [B, C, n, 1] whose first T(T+1)/2 are
+    the cells e >= s in upper_cells(T) order. Cells e < s are 0; the rest of x
+    is not read. The adjoint is the gather of those cells."""
+    x = _as_tensor(x)
+    B, C = x.data.shape[:2]
+    rows, cols = upper_cells(T)
+    m = rows.size
+    out_data = np.zeros((B, C, T, T))
+    out_data[:, :, rows, cols] = x.data[:, :, :m, 0]
+
+    def backward(g):
+        gx = np.zeros(x.data.shape)
+        gx[:, :, :m, 0] = g[:, :, rows, cols]
+        return (gx,)
+
+    return _make(out_data, (x,), backward, "scatter_upper")
 
 
 class BatchNormState:

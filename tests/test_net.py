@@ -215,26 +215,41 @@ class TestMpfg:
         np.testing.assert_array_equal(base, moved)
 
 
+def _forward_cases():
+    from smbg import pipeline as pl
+    return [pl.RunConfig().model_config(),
+            tiny_config(T=16, bands=BandSpec([0, 1, 6, 16], [5, 3, 9]), band_channels=3,
+                        sec_hidden=5, dilation=9),
+            pl.RunConfig(window_mode=True).model_config()]
+
+
 class TestFusedForward:
     """forward() fuses sec_dil into the band layer; sec_head(mpfg_forward) is its reference."""
 
     @pytest.mark.parametrize("train", [True, False])
     def test_matches_dense_reference_path(self, train):
-        cfg = tiny_config(T=16, bands=BandSpec([0, 4, 9, 16], [3, 5, 7]),
-                          band_channels=3, sec_hidden=5, dilation=3)
-        net = SmbgNet(cfg, seed=13)
-        ref_net = SmbgNet(cfg, seed=13)
-        x = t.Tensor(RNG.standard_normal((2, 3, 16)))
-        got = net.forward(x, train=train)
-        f_b = ref_net.base_module(x)
-        want = ref_net.sec_head(ref_net.mpfg_forward(f_b), train=train)
-        for key, ref in zip(("P_c", "P_r"), want):
-            assert np.abs(got[key].data - ref.data).max() < 1e-12
-        # train mode pools all T*T cells into the batchnorm running statistics
-        np.testing.assert_allclose(net.sec_bn1.running_mean, ref_net.sec_bn1.running_mean,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(net.sec_bn1.running_var, ref_net.sec_bn1.running_var,
-                                   rtol=0, atol=1e-12)
+        # desk T=100, T=16 with odd bands and dilation 9 > T/2, window T=128
+        for config in _forward_cases():
+            net = SmbgNet(config, seed=13)
+            ref_net = SmbgNet(config, seed=13)
+            for n in (net, ref_net):
+                _non_identity_batchnorm(n, seed=14)
+            T = config.temporal_length
+            x = t.Tensor(RNG.standard_normal((2, config.in_channels, T)))
+            got = net.forward(x, train=train)
+            f_b = ref_net.base_module(x)
+            want = ref_net.sec_head(ref_net.mpfg_forward(f_b), train=train)
+            upper = np.triu(np.ones((T, T), dtype=bool))
+            for key, ref in zip(("P_c", "P_r"), want):
+                assert got[key].data.shape == (2, T, T)
+                assert np.abs(got[key].data[:, upper] - ref.data[:, upper]).max() <= 1e-12
+                assert np.all(got[key].data[:, ~upper] == 0.0)
+            # train mode pools all T*T cells into the batchnorm running statistics
+            for name in ("sec_bn1", "sec_bn2", "sec_bn3"):
+                for stat in ("running_mean", "running_var"):
+                    np.testing.assert_allclose(getattr(getattr(net, name), stat),
+                                               getattr(getattr(ref_net, name), stat),
+                                               rtol=0, atol=1e-12)
 
     def test_output_has_no_proposal_map(self):
         net = SmbgNet(tiny_config(), seed=1)
@@ -276,8 +291,23 @@ def _predict_cases():
     ]
 
 
+def _dense_eval_reference(net, x):
+    """The dense eval forward's (P_c, P_r): the proposal map, each eval batchnorm its own
+    op; one video at a time, so the dense 3x3 im2col stays one video's size."""
+    outs = []
+    for video in x:
+        h = net.sec_dil(net.mpfg_forward(net.base_module(t.Tensor(video[None]))))
+        for bn, conv in ((net.sec_bn1, net.sec_c1), (net.sec_bn2, net.sec_c2),
+                         (net.sec_bn3, net.sec_c3)):
+            h = conv(t.batchnorm_lite(t.relu(h), bn, False))
+        outs.append(t.sigmoid(h).data[0])
+    out = np.stack(outs)
+    return out[:, 0], out[:, 1]
+
+
 class TestPredict:
-    """predict() is the eval forward on the upper triangle; forward(x, train=False) is its reference."""
+    """predict() is forward(x, train=False) without a graph; its reference is the dense
+    map head with unfolded eval batchnorm."""
 
     @pytest.mark.parametrize("config,B", [c[1:] for c in _predict_cases()],
                              ids=[c[0] for c in _predict_cases()])
@@ -286,35 +316,57 @@ class TestPredict:
         _non_identity_batchnorm(net, seed=22)
         T = config.temporal_length
         x = RNG.standard_normal((B, config.in_channels, T))
-        with t.no_grad():
-            want = net.forward(t.Tensor(x), train=False)
         got = dict(zip(("P_s", "P_e", "P_c", "P_r"), net.predict(x)))
-        np.testing.assert_array_equal(got["P_s"], want["P_s"].data)
-        np.testing.assert_array_equal(got["P_e"], want["P_e"].data)
+        with t.no_grad():
+            p_s, p_e = net.boundary_head(net.base_module(t.Tensor(x)))
+            want = _dense_eval_reference(net, x)
+        np.testing.assert_array_equal(got["P_s"], p_s.data)
+        np.testing.assert_array_equal(got["P_e"], p_e.data)
         upper = np.triu(np.ones((T, T), dtype=bool))
-        for key in ("P_c", "P_r"):
+        for key, ref in zip(("P_c", "P_r"), want):
             assert got[key].shape == (B, T, T)
-            assert np.abs(got[key][:, upper] - want[key].data[:, upper]).max() <= 1e-12
+            assert np.abs(got[key][:, upper] - ref[:, upper]).max() <= 1e-12
             assert np.all(got[key][:, ~upper] == 0.0)
+
+    def test_is_eval_forward_without_graph(self, monkeypatch):
+        net = SmbgNet(tiny_config(T=12, bands=BandSpec([0, 4, 12], [3, 5])), seed=5)
+        calls = []
+        forward = net.forward
+
+        def spied(x, train=False):
+            calls.append((t._grad_enabled, train))
+            return forward(x, train)
+
+        monkeypatch.setattr(net, "forward", spied)
+        x = RNG.standard_normal((2, 3, 12))
+        got = net.predict(x)
+        assert calls == [(False, False)]
+        want = forward(t.Tensor(x), train=False)
+        for g, key in zip(got, ("P_s", "P_e", "P_c", "P_r")):
+            assert isinstance(g, np.ndarray)
+            np.testing.assert_array_equal(g, want[key].data)
 
     def test_band_convs_run_only_where_read(self, monkeypatch):
         cfg = tiny_config(T=16, bands=BandSpec([0, 1, 6, 16], [5, 3, 9]), dilation=9)
         seen = []
-        upper = t.band_map_conv_upper
+        band_map_conv = t.band_map_conv
 
         def computed_rows(x):
-            rows = np.flatnonzero(np.any(x != 0.0, axis=(0, 1)))
+            rows = np.flatnonzero(np.any(x.data != 0.0, axis=(0, 1)))
             assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
             return int(rows[0]), int(rows[-1]) + 1
 
-        def spy(starts, ends, edges, *rest):
+        def spy(starts, ends, edges, *rest, **kw):
             assert all(x.shape == (2, cfg.band_channels, 16) for x in (*starts, *ends))
             seen.append(([computed_rows(x) for x in starts], [computed_rows(x) for x in ends]))
-            return upper(starts, ends, edges, *rest)
+            return band_map_conv(starts, ends, edges, *rest, **kw)
 
-        monkeypatch.setattr(t, "band_map_conv_upper", spy)
-        SmbgNet(cfg, seed=3).predict(RNG.standard_normal((2, 3, 16)))
-        assert seen == [([(0, 16), (0, 15), (0, 10)], [(0, 16), (1, 16), (6, 16)])]
+        monkeypatch.setattr(t, "band_map_conv", spy)
+        net = SmbgNet(cfg, seed=3)
+        x = RNG.standard_normal((2, 3, 16))
+        net.predict(x)
+        net.forward(t.Tensor(x), train=True)
+        assert seen == [([(0, 16), (0, 15), (0, 10)], [(0, 16), (1, 16), (6, 16)])] * 2
 
     def test_forward_and_predict_get_band_sequences_from_one_place(self, monkeypatch):
         net = SmbgNet(tiny_config(T=12, bands=BandSpec([0, 4, 12], [3, 5])), seed=6)
@@ -391,15 +443,18 @@ class TestSecHead:
     def test_outputs_in_unit_interval(self):
         net = SmbgNet(tiny_config(), seed=3)
         out = net.forward(t.Tensor(RNG.standard_normal((2, 3, 8))), train=True)
+        upper = np.triu(np.ones((8, 8), dtype=bool))  # cells e < s are defined as 0
         for key in ("P_c", "P_r"):
-            assert np.all(out[key].data > 0) and np.all(out[key].data < 1)
+            cells = out[key].data[:, upper]
+            assert np.all(cells > 0) and np.all(cells < 1)
 
     def test_zero_weights_give_half(self):
         net = SmbgNet(tiny_config(), seed=0)
         net.sec_c3.w.data[...] = 0.0
         net.sec_c3.b.data[...] = 0.0
         out = net.forward(t.Tensor(RNG.standard_normal((1, 3, 8))), train=False)
-        np.testing.assert_array_equal(out["P_c"].data, 0.5)
+        upper = np.triu(np.ones((8, 8), dtype=bool))  # cells e < s are defined as 0
+        np.testing.assert_array_equal(out["P_c"].data[:, upper], 0.5)
 
     def test_receptive_field_bounded_by_dilation(self):
         # eval-mode head: cell (s,e) only sees f_p within Chebyshev distance r_d

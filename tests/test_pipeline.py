@@ -54,7 +54,7 @@ def two_branch_infer(config, checkpoint_path, dataset):
     all windows of one video at once, ignores batch_size and never clamps
     ends to the duration. The network runs through pl._forward_arrays, so
     this checks the video-to-view mapping exactly; the network itself is
-    checked against forward(x, train=False) in tests/test_net.py.
+    checked against the dense reference path in tests/test_net.py.
     Returns {vid: [(t_start, t_end, score)]}.
     """
     net, _ = load_checkpoint(checkpoint_path)
@@ -282,7 +282,14 @@ class TestRunConfig:
                                              ("window_overlap", 1.0),
                                              ("window_overlap", 1.5),
                                              ("window_overlap", -0.1),
-                                             ("map_label_mode", "dice")])
+                                             ("map_label_mode", "dice"),
+                                             ("snms_sigma", 0.0), ("snms_sigma", -0.5),
+                                             ("snms_sigma", float("nan")),
+                                             ("negative_ratio", 0),
+                                             ("batch_size", 2.5), ("epochs", "3"),
+                                             ("seed", 1.5), ("max_proposals", True),
+                                             ("temporal_length", 100.0),
+                                             ("window_length", "128")])
     def test_bad_value_rejected_naming_field(self, field, value):
         with pytest.raises(ValueError, match=f"RunConfig.{field}"):
             pl.RunConfig(**{field: value})
@@ -574,6 +581,27 @@ class TestInference:
             assert rows == [[210] * 7]
         assert written[0] == written[1] == written[2]
 
+    @pytest.mark.parametrize("window", [False, True], ids=["rescale", "window"])
+    def test_infer_computes_upper_cells_and_training_all(self, tmp_path, monkeypatch,
+                                                         window):
+        cfg = tiny_run_config(tmp_path, **(TINY_WINDOW if window else {}))
+        T = cfg.model_temporal_length
+        train_ds, *_ = tiny_datasets(n_train=4)
+        cells = []  # packed cells per item of each first map conv
+        band_map_conv = t.band_map_conv
+
+        def spy(*args, **kw):
+            out = band_map_conv(*args, **kw)
+            cells.append(out.shape[2])
+            return out
+
+        monkeypatch.setattr(t, "band_map_conv", spy)
+        ckpt = pl.train(cfg, train_ds).checkpoints[-1]
+        assert cells and set(cells) == {T * T}
+        cells.clear()
+        pl.infer(cfg, ckpt, train_ds)
+        assert cells and set(cells) == {T * (T + 1) // 2}
+
     def test_runs_predict_without_batchnorm_or_map_convs(self, tmp_path, monkeypatch):
         cfg = tiny_run_config(tmp_path)
         spec = pl.SyntheticSpec(num_videos=5, channels=4, seed=2, duration_range=(30, 60))
@@ -584,7 +612,7 @@ class TestInference:
         def refuse(*args, **kwargs):
             raise AssertionError("inference ran a full-map op")
 
-        for name in ("batchnorm_lite", "conv2d_dilated", "band_map_conv"):
+        for name in ("batchnorm_lite", "conv2d_dilated", "assemble_band_maps"):
             monkeypatch.setattr(t, name, refuse)
         batches = []
         predict = SmbgNet.predict

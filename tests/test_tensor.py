@@ -387,7 +387,18 @@ BAND_MAP_CASES = [
     (16, [0, 4, 16], 15, 2, 5),      # taps reach only the main diagonal
     (100, [0, 17, 33, 57, 100], 7, 3, 4),
     (100, [0, 100], 50, 2, 3),
+    (16, [0, 1, 6, 16], 9, 3, 5),    # odd band widths 1, 5, 10; dilation > T/2
 ]
+
+
+def _packed_cells(T, lower):
+    """(rows, cols) of band_map_conv's packed cells, written out one by one: the
+    diagonals d = e - s from 0 up, each by s, then, if lower, d = -1 down, each by e."""
+    cells = [(s, s + d) for d in range(T) for s in range(T - d)]
+    if lower:
+        cells += [(e - d, e) for d in range(-1, -T, -1) for e in range(T + d)]
+    rows, cols = zip(*cells)
+    return np.array(rows), np.array(cols)
 
 
 class TestBandMapConv:
@@ -396,57 +407,69 @@ class TestBandMapConv:
     @pytest.mark.parametrize("T,edges,dilation,C,Co", BAND_MAP_CASES)
     def test_matches_dense_on_every_cell(self, T, edges, dilation, C, Co):
         starts, ends, w, b = _band_inputs(2, C, Co, T, edges)
-        got = t.band_map_conv(starts, ends, edges, w, b, dilation).data
         want = _dense_band_map_conv(starts, ends, edges, w, b, dilation).data
-        assert got.shape == want.shape == (2, Co, T, T)
-        assert np.abs(got - want).max() <= 1e-12
-        # the lower triangle is not zero: taps reach across the diagonal
-        assert np.abs(got[:, :, 1, 0] - b.data).max() > 0
+        for lower, n in ((False, T * (T + 1) // 2), (True, T * T)):
+            got = t.band_map_conv(starts, ends, edges, w, b, dilation, lower=lower).data
+            rows, cols = _packed_cells(T, lower)
+            assert got.shape == (2, Co, n, 1)
+            assert np.abs(got[..., 0] - want[:, :, rows, cols]).max() <= 1e-12
+        # the lower triangle is not constant: taps reach across the diagonal
+        assert np.abs(got[:, :, T * (T + 1) // 2, 0] - b.data).max() > 0
 
     @pytest.mark.parametrize("T,edges,dilation,C,Co", BAND_MAP_CASES)
     def test_upper_matches_graph_op_on_upper_cells(self, T, edges, dilation, C, Co):
         starts, ends, w, b = _band_inputs(2, C, Co, T, edges)
-        want = t.band_map_conv(starts, ends, edges, w, b, dilation).data
+        want = t.band_map_conv(starts, ends, edges, w, b, dilation, lower=True).data
         # the same [B, C, T] sequences, with every row the trim rule leaves unread spoiled
         read_s = [x.data.copy() for x in starts]
         read_e = [x.data.copy() for x in ends]
         for x_s, x_e, lo in zip(read_s, read_e, edges):
             x_s[:, :, T - lo:] = np.nan
             x_e[:, :, :lo] = np.nan
-        got = t.band_map_conv_upper(read_s, read_e, edges, w.data, b.data, dilation)
-        rows, cols = t.upper_cells(T)
-        assert got.shape == (T * (T + 1) // 2, 2, Co)
-        assert np.abs(got.transpose(1, 2, 0) - want[:, :, rows, cols]).max() <= 1e-12
+        got = t.band_map_conv(read_s, read_e, edges, w, b, dilation).data
+        np.testing.assert_array_equal(got, want[:, :, :T * (T + 1) // 2])
 
     def test_upper_cells_packed_by_diagonal(self):
         rows, cols = t.upper_cells(5)
         assert sorted(zip(rows, cols)) == [(s, e) for s in range(5) for e in range(s, 5)]
         assert list(zip(rows, cols))[:7] == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4),
                                              (0, 1), (1, 2)]
+        np.testing.assert_array_equal(np.stack(t.upper_cells(5)),
+                                      np.stack(_packed_cells(5, lower=False)))
         assert not rows.flags.writeable and not cols.flags.writeable
 
-    @pytest.mark.parametrize("T,edges,dilation", [(8, [0, 3, 8], 2), (16, [0, 5, 11, 16], 7)])
+    @pytest.mark.parametrize("T,edges,dilation", [(8, [0, 3, 8], 2), (16, [0, 5, 11, 16], 7),
+                                                  (16, [0, 1, 6, 16], 9)])
     def test_adjoint_matches_dense_adjoint(self, T, edges, dilation):
         starts, ends, w, b = _band_inputs(2, 3, 4, T, edges, requires_grad=True)
         leaves = [*starts, *ends, w, b]
-        probe = RNG.standard_normal((2, 4, T, T))
-        grads = []
-        for op in (t.band_map_conv, _dense_band_map_conv):
+
+        def grads(loss):
             for x in leaves:
                 x.zero_grad()
-            t.tsum(t.mul(op(starts, ends, edges, w, b, dilation), probe)).backward()
-            grads.append([x.grad.copy() for x in leaves])
-        for got, want in zip(*grads):
-            assert np.abs(got - want).max() <= 1e-12
+            loss.backward()
+            return [x.grad.copy() for x in leaves]
 
-    @pytest.mark.parametrize("T,edges,dilation", [(6, [0, 2, 6], 2), (7, [0, 7], 4)])
+        for lower in (False, True):
+            rows, cols = _packed_cells(T, lower)
+            probe = np.zeros((2, 4, T, T))  # cells the packed output leaves out get none
+            probe[:, :, rows, cols] = RNG.standard_normal((2, 4, rows.size))
+            out = t.band_map_conv(starts, ends, edges, w, b, dilation, lower=lower)
+            got = grads(t.tsum(t.mul(out, probe[:, :, rows, cols, None])))
+            dense = _dense_band_map_conv(starts, ends, edges, w, b, dilation)
+            for g, want in zip(got, grads(t.tsum(t.mul(dense, probe)))):
+                assert np.abs(g - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("T,edges,dilation", [(6, [0, 2, 6], 2), (7, [0, 7], 4),
+                                                  (7, [0, 1, 3, 7], 5)])
     def test_gradients(self, T, edges, dilation):
         starts, ends, w, b = _band_inputs(2, 2, 3, T, edges, requires_grad=True)
         nb = len(starts)
-        probe = RNG.standard_normal((2, 3, T, T))
+        probe = RNG.standard_normal((2, 3, T * T, 1))
 
         def f(i):
-            out = t.band_map_conv(i[:nb], i[nb:2 * nb], edges, i[-2], i[-1], dilation)
+            out = t.band_map_conv(i[:nb], i[nb:2 * nb], edges, i[-2], i[-1], dilation,
+                                  lower=True)
             return t.tsum(t.mul(t.square(out), probe))
 
         assert gc(f, [*starts, *ends, w, b]) < 1e-4
@@ -467,6 +490,28 @@ class TestBandMapConv:
             t.band_map_conv(starts, ends, [0, 3, 8], t.Tensor(np.zeros((2, 3, 3, 3))), b, 2)
         with pytest.raises(ValueError, match="dilation"):
             t.band_map_conv(starts, ends, [0, 3, 8], w, b, 0)
+
+
+class TestScatterUpper:
+    """scatter_upper writes the packed cells e >= s into maps; its adjoint gathers them."""
+
+    @pytest.mark.parametrize("n", [15, 25], ids=["upper", "all"])
+    def test_writes_upper_cells_and_zeros_the_rest(self, n):
+        x = RNG.standard_normal((2, 3, n, 1))
+        out = t.scatter_upper(t.Tensor(x), 5).data
+        rows, cols = t.upper_cells(5)
+        assert out.shape == (2, 3, 5, 5)
+        np.testing.assert_array_equal(out[:, :, rows, cols], x[:, :, :15, 0])
+        assert np.all(out[:, :, ~np.triu(np.ones((5, 5), dtype=bool))] == 0.0)
+
+    def test_adjoint_is_the_gather(self):
+        x = t.Tensor(RNG.standard_normal((2, 2, 16, 1)), requires_grad=True)
+        probe = RNG.standard_normal((2, 2, 4, 4))
+        t.tsum(t.mul(t.scatter_upper(x, 4), probe)).backward()
+        rows, cols = t.upper_cells(4)
+        np.testing.assert_array_equal(x.grad[:, :, :10, 0], probe[:, :, rows, cols])
+        assert np.all(x.grad[:, :, 10:] == 0.0)
+        assert gc(lambda i: t.tsum(t.mul(t.square(t.scatter_upper(i[0], 4)), probe)), [x]) < 1e-4
 
 
 class TestBackward:
