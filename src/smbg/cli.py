@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ from .net import BmnConfig, ModelConfig, default_band_spec
 def _load_config(args):
     cfg = pipeline.RunConfig.load(args.config) if args.config else pipeline.RunConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)  # checked like any RunConfig field
     out = args.out or os.environ.get("SMBG_OUT") or cfg.out_dir
     cfg.out_dir = out
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -13,7 +13,9 @@ sampling; ``SmbgNet.band_sequences`` runs them for every forward. The
 one forward, ``SmbgNet.forward``, never materializes that map: the first
 confidence-head conv reads the band sequences directly
 (``tensor.band_map_conv``) and computes packed cells, the upper triangle
-e >= s plus, in training, the lower triangle that batch statistics pool.
+e >= s plus, in training, the cells e < s that batch statistics pool: the
+diagonals the dilated conv reaches, and one cell that stands in for the
+rest, which all equal the conv's bias (``tensor.lower_strip``).
 Eval mode folds each batchnorm into the 1x1 conv after it, and
 ``SmbgNet.predict``, which inference runs, is the eval forward without a
 graph. The dense map path (``mpfg_forward`` + ``sec_head``) stays as the
@@ -304,15 +306,18 @@ class SmbgNet:
         out = self._sec_tail(self.sec_dil(f_p), train)
         return t.select_channel(out, 0), t.select_channel(out, 1)
 
-    def _sec_tail(self, h, train):
+    def _sec_tail(self, h, train, last_count=1):
         """Everything after the first map conv, [B, H, ...] cells -> [B, 2, ...]
-        (relu/bn, 1x1 convs, sigmoid). Eval mode folds each batchnorm into the
-        1x1 conv after it and runs on raw arrays, so its output has no graph;
-        its first relu overwrites h's data, which no caller reads again."""
+        (relu/bn, 1x1 convs, sigmoid). In training the last cell of each item
+        counts last_count times in every batchnorm's statistics; every other
+        op is per cell, so a cell that stands in for equal cells stays one.
+        Eval mode folds each batchnorm into the 1x1 conv after it and runs on
+        raw arrays, so its output has no graph; its first relu overwrites h's
+        data, which no caller reads again."""
         if train:
-            h = t.batchnorm_lite(t.relu(h), self.sec_bn1, True)
-            h = t.batchnorm_lite(t.relu(self.sec_c1(h)), self.sec_bn2, True)
-            h = t.batchnorm_lite(t.relu(self.sec_c2(h)), self.sec_bn3, True)
+            h = t.batchnorm_lite(t.relu(h), self.sec_bn1, True, last_count)
+            h = t.batchnorm_lite(t.relu(self.sec_c1(h)), self.sec_bn2, True, last_count)
+            h = t.batchnorm_lite(t.relu(self.sec_c2(h)), self.sec_bn3, True, last_count)
             return t.sigmoid(self.sec_c3(h))
         B, H, *cells = h.shape
         h = h.data.reshape(B, H, -1)
@@ -328,17 +333,22 @@ class SmbgNet:
         """Full pass: features -> (P_s, P_e, P_c, P_r), P_c and P_r [B, T, T].
 
         The first map conv reads the band sequences directly, so the proposal
-        feature map is never built; it computes the cells e >= s, plus in
-        training the cells e < s that batch statistics pool. P_c and P_r
-        equal sec_head(mpfg_forward(f_b)) on the cells e >= s and are exactly
-        0 on the cells e < s.
+        feature map is never built; it computes the cells e >= s. Training
+        adds the cells e < s that batch statistics pool: the tensor.lower_strip
+        diagonals the conv reaches, and one stand-in for the n_far cells below
+        them, which all equal sec_dil.b and so stay equal through the per-cell
+        tail. P_c and P_r equal sec_head(mpfg_forward(f_b)) on the cells e >= s
+        and are exactly 0 on the cells e < s; in training so do the running
+        statistics.
         """
+        T = self.config.temporal_length
         f_b = self.base_module(x)
         p_s, p_e = self.boundary_head(f_b)
         starts, ends = self.band_sequences(f_b)
         h = t.band_map_conv(starts, ends, self.config.band_spec.edges, self.sec_dil.w,
                             self.sec_dil.b, self.sec_dil.dilation, lower=train)
-        maps = t.scatter_upper(self._sec_tail(h, train), self.config.temporal_length)
+        _, n_far = t.lower_strip(T, self.sec_dil.w.shape[2], self.sec_dil.dilation)
+        maps = t.scatter_upper(self._sec_tail(h, train, max(n_far, 1)), T)
         return {"f_b": f_b, "P_s": p_s, "P_e": p_e,
                 "P_c": t.select_channel(maps, 0), "P_r": t.select_channel(maps, 1)}
 

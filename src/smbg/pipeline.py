@@ -99,11 +99,20 @@ class RunConfig:
             if f.type == "int" and (isinstance(value, bool)
                                     or not isinstance(value, (int, np.integer))):
                 raise ValueError(f"RunConfig.{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)) or not math.isfinite(value)):
+                raise ValueError(f"RunConfig.{f.name} must be a finite number, got {value!r}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"RunConfig.seed must be in [0, 2**64), got {self.seed}")
+        if self.epochs < 0:
+            raise ValueError(f"RunConfig.epochs must be >= 0, got {self.epochs}")
+        if self.max_proposals < 1:
+            raise ValueError(f"RunConfig.max_proposals must be >= 1, got {self.max_proposals}")
         if self.batch_size < 1:
             raise ValueError(f"RunConfig.batch_size must be >= 1, got {self.batch_size}")
         if self.negative_ratio < 1:
             raise ValueError(f"RunConfig.negative_ratio must be >= 1, got {self.negative_ratio}")
-        if not isinstance(self.snms_sigma, (int, float)) or not self.snms_sigma > 0:
+        if not self.snms_sigma > 0:
             raise ValueError(f"RunConfig.snms_sigma must be > 0, got {self.snms_sigma!r}")
         if not 0.0 <= self.window_overlap < 1.0:
             raise ValueError(f"RunConfig.window_overlap must be in [0, 1), "

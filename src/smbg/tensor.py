@@ -21,9 +21,11 @@ kernels (``conv1d_same_raw``, ``conv2d_dilated_raw``) are what the graph
 ops and their adjoints run; outside this module only the
 boundary-matching baseline and the tests call them. A 1-D conv computes
 only the output rows asked for (``band_rows``: those a band map reads).
-``band_map_conv`` is the model's first map conv. It computes packed cells
-(the upper triangle e >= s, plus the lower one in training), and
-``scatter_upper`` writes the upper cells into [B, C, T, T] maps.
+``band_map_conv`` is the model's first map conv. It computes packed cells:
+the upper triangle e >= s, plus in training the ``lower_strip`` diagonals
+below it that its taps reach and one weighted stand-in for the cells
+further below, which ``batchnorm_lite`` counts as many times as it stands
+for. ``scatter_upper`` writes the upper cells into [B, C, T, T] maps.
 ``fold_batchnorm`` folds eval batchnorm into the 1x1 conv after it.
 """
 
@@ -597,6 +599,16 @@ def _band_taps(starts, ends, edges, w):
     return reads, U
 
 
+def lower_strip(T, k, dilation):
+    """The strip rule: a k x k tap of `dilation` moves e - s by at most (k-1)*dilation,
+    so of the cells e < s of a conv over a map that is 0 below its diagonal only
+    the strip diagonals d = -1 .. -reach, reach = min((k-1)*dilation, T-1), read
+    the map. Every cell further below reads only zeros and equals the bias.
+    Returns (reach, n_far), n_far the number of those far cells in one map."""
+    reach = min((k - 1) * dilation, T - 1)
+    return reach, (T - 1 - reach) * (T - reach) // 2
+
+
 def band_map_conv(starts, ends, edges, w, b, dilation=1, lower=False):
     """Dilated 'same' conv over the duration-band proposal map, never built.
 
@@ -607,9 +619,11 @@ def band_map_conv(starts, ends, edges, w, b, dilation=1, lower=False):
     at e, so each tap is one matmul per band over the rows band_rows(edges)
     names (U = W_tap[:, :C] @ S, V = W_tap[:, C:] @ E), and each output
     diagonal is a sum of contiguous slices of U and V. The output is packed
-    cells [B, Co, n, 1]: the T(T+1)/2 cells e >= s in upper_cells(T) order,
-    then with lower=True (training, whose batch statistics pool every cell)
-    the cells e < s, diagonal d = -1 down to -(T-1), each by e.
+    cells [B, Co, n, 1]: the T(T+1)/2 cells e >= s in upper_cells(T) order.
+    With lower=True (training, whose batch statistics pool every cell) the
+    cells e < s follow: the lower_strip diagonals d = -1 down to -reach, each
+    by e, then, if n_far > 0, one cell equal to b that stands for the n_far
+    cells below the strip.
     """
     starts = [_as_tensor(s) for s in starts]
     ends = [_as_tensor(e) for e in ends]
@@ -632,10 +646,12 @@ def band_map_conv(starts, ends, edges, w, b, dilation=1, lower=False):
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     K = kh * kw
     nb = len(starts)
-    plan = _band_map_plan(T, edges, kh, int(dilation))
-    plan = plan if lower else plan[:T]
+    reach, n_far = lower_strip(T, kh, int(dilation))
+    plan = _band_map_plan(T, edges, kh, int(dilation))[:T + reach if lower else T]
     reads, U = _band_taps([x.data for x in starts], [x.data for x in ends], edges, w.data)
-    out_data = np.empty((B, Co, plan[-1][0] + plan[-1][1], 1))
+    n = plan[-1][0] + plan[-1][1]
+    out_data = np.empty((B, Co, n + (lower and n_far > 0), 1))
+    out_data[:, :, n:, 0] = b.data[:, None]  # the far cells' stand-in, if any
     acc = np.empty((T, B, Co))
     for off, m, entries in plan:
         # summed diagonal-major, then one copy into the channel-first output
@@ -712,21 +728,31 @@ class BatchNormState:
         self.eps = eps
 
 
-def batchnorm_lite(x, state, train):
+def batchnorm_lite(x, state, train, last_count=1):
     """Per-channel normalization over all non-channel axes of [B,C,...].
 
     Train mode normalizes with biased batch statistics and updates the
     running buffers; eval mode uses the running buffers. Variance gets an
     eps floor, so a zero-variance batch (e.g. B=1 constant) is fine.
+    In train mode the last cell of each item counts last_count times: it
+    stands in for that many equal cells, so the statistics weight it by
+    last_count, and its gradient is the sum over the cells it stands for.
     """
     x = _as_tensor(x)
     axes = (0,) + tuple(range(2, x.data.ndim))
-    n = x.data.size // x.data.shape[1]
+    last = (slice(None), slice(None)) + (-1,) * (x.data.ndim - 2)
+    extra = last_count - 1 if train else 0  # copies of each last cell not in x
+    n = x.data.size // x.data.shape[1] + x.data.shape[0] * extra
     bshape = (1, -1) + (1,) * (x.data.ndim - 2)
-    mean = x.data.mean(axis=axes) if train else state.running_mean
+    if train:
+        mean = (x.data.sum(axis=axes) + extra * x.data[last].sum(axis=0)) / n
+    else:
+        mean = state.running_mean
     x_hat = x.data - mean.reshape(bshape)  # centred once, scaled in place below
     if train:
-        var = (x_hat * x_hat).sum(axis=axes) / n  # biased; np.var's own arithmetic
+        sq = x_hat * x_hat
+        var = (sq.sum(axis=axes) + extra * sq[last].sum(axis=0)) / n  # biased
+        del sq
         m = state.momentum
         state.running_mean = (1 - m) * state.running_mean + m * mean
         state.running_var = (1 - m) * state.running_var + m * var
@@ -746,6 +772,8 @@ def batchnorm_lite(x, state, train):
         gx = n * g
         gx -= g_beta.reshape(bshape)
         gx -= x_hat * g_gamma.reshape(bshape)
+        # each stand-in cell takes the mean terms of every cell it stands for
+        gx[last] -= extra * (g_beta + x_hat[last] * g_gamma)
         gx *= scale / n
         return gx, g_gamma, g_beta
 

@@ -1,13 +1,14 @@
 """Network blocks: masks, band layer + oracle, heads, baseline, checkpoints."""
 
 import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smbg import tensor as t
+from smbg import losses, tensor as t
 from smbg.net import (BandSpec, BandSpecError, BmnConfig, BmnPfgReference, ModelConfig,
                       ModelFieldError, SmbgNet, band_cells, build_masks, default_band_spec,
                       load_checkpoint, mpfg_naive_oracle, save_arrays, save_checkpoint)
@@ -220,7 +221,46 @@ def _forward_cases():
     return [pl.RunConfig().model_config(),
             tiny_config(T=16, bands=BandSpec([0, 1, 6, 16], [5, 3, 9]), band_channels=3,
                         sec_hidden=5, dilation=9),
-            pl.RunConfig(window_mode=True).model_config()]
+            pl.RunConfig(window_mode=True).model_config(),
+            # dilation 6 reaches 12 diagonals below e = s: 6 cells lie further below
+            tiny_config(T=16, bands=BandSpec([0, 1, 6, 16], [5, 3, 9]), band_channels=3,
+                        sec_hidden=5, dilation=6)]
+
+
+def _desk_batch():
+    """RunConfig() and one desk training batch (B=16, T=100): x and (g_s, g_e, g_c)."""
+    from smbg import pipeline as pl
+    cfg = pl.RunConfig()
+    train_ds, *_ = pl.make_benchmark_datasets(0, n_train=cfg.batch_size, n_eval=1,
+                                              channels=cfg.in_channels)
+    batch = pl.build_samples(train_ds, cfg)[:cfg.batch_size]
+    labels = tuple(np.stack([b[k] for b in batch]) for k in ("g_s", "g_e", "g_c"))
+    return cfg, np.stack([b["x"] for b in batch]), labels
+
+
+def _train_step(cfg, outputs, labels):
+    """Loss and backward of one training step on the forward's outputs."""
+    loss, _ = losses.total_loss(outputs, *labels, cfg.sampling_config(),
+                                beta=cfg.guidance_beta, lam=cfg.confidence_lambda)
+    loss.backward()
+
+
+def _dense_tail_forward(net, x):
+    """forward(x, train=True) with the tail unweighted on all T*T cells: the far cells'
+    stand-in is copied to every cell it stands for before the tail runs."""
+    T = net.config.temporal_length
+    f_b = net.base_module(x)
+    p_s, p_e = net.boundary_head(f_b)
+    starts, ends = net.band_sequences(f_b)
+    h = t.band_map_conv(starts, ends, net.config.band_spec.edges, net.sec_dil.w,
+                        net.sec_dil.b, net.sec_dil.dilation, lower=True)
+    B, H, n, _ = h.shape
+    cells = np.minimum(np.arange(T * T), n - 1)
+    h = t.take_cells(h, (np.arange(B)[:, None, None, None], np.arange(H)[None, :, None, None],
+                         cells[None, None, :, None], np.zeros((1, 1, 1, 1), dtype=int)))
+    maps = t.scatter_upper(net._sec_tail(h, True), T)
+    return {"P_s": p_s, "P_e": p_e,
+            "P_c": t.select_channel(maps, 0), "P_r": t.select_channel(maps, 1)}
 
 
 class TestFusedForward:
@@ -228,7 +268,8 @@ class TestFusedForward:
 
     @pytest.mark.parametrize("train", [True, False])
     def test_matches_dense_reference_path(self, train):
-        # desk T=100, T=16 with odd bands and dilation 9 > T/2, window T=128
+        # desk T=100, T=16 with odd bands and dilation 9 > T/2 (no cell below the strip),
+        # window T=128, and T=16 with 6 cells below the strip
         for config in _forward_cases():
             net = SmbgNet(config, seed=13)
             ref_net = SmbgNet(config, seed=13)
@@ -244,12 +285,36 @@ class TestFusedForward:
                 assert got[key].data.shape == (2, T, T)
                 assert np.abs(got[key].data[:, upper] - ref.data[:, upper]).max() <= 1e-12
                 assert np.all(got[key].data[:, ~upper] == 0.0)
-            # train mode pools all T*T cells into the batchnorm running statistics
+            # train mode pools all T*T cells into the batchnorm running statistics, the
+            # cells below the strip through their one stand-in
             for name in ("sec_bn1", "sec_bn2", "sec_bn3"):
                 for stat in ("running_mean", "running_var"):
                     np.testing.assert_allclose(getattr(getattr(net, name), stat),
                                                getattr(getattr(ref_net, name), stat),
                                                rtol=0, atol=1e-12)
+
+    def test_desk_step_grads_match_unweighted_dense_tail(self):
+        cfg, x, labels = _desk_batch()
+        grads = []
+        for forward in (lambda net, x: net.forward(x, train=True), _dense_tail_forward):
+            net = SmbgNet(cfg.model_config(), seed=0)
+            _train_step(cfg, forward(net, t.Tensor(x)), labels)
+            grads.append([(name, p.grad) for name, p in net.named_parameters()])
+        for (name, got), (_, want) in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    def test_desk_step_peak_memory(self):
+        # forward, loss and backward of one desk step peak near 413 MB; a tail run on
+        # all T*T cells instead of the strip and one stand-in peaks near 574 MB
+        cfg, x, labels = _desk_batch()
+        net = SmbgNet(cfg.model_config(), seed=0)
+        tracemalloc.start()
+        try:
+            _train_step(cfg, net.forward(t.Tensor(x), train=True), labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 450e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_output_has_no_proposal_map(self):
         net = SmbgNet(tiny_config(), seed=1)

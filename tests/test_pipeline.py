@@ -289,10 +289,25 @@ class TestRunConfig:
                                              ("batch_size", 2.5), ("epochs", "3"),
                                              ("seed", 1.5), ("max_proposals", True),
                                              ("temporal_length", 100.0),
-                                             ("window_length", "128")])
+                                             ("window_length", "128"),
+                                             ("learning_rate", "0.1"),
+                                             ("learning_rate", float("nan")),
+                                             ("snms_floor", "x"),
+                                             ("guidance_beta", float("inf")),
+                                             ("positive_threshold", True),
+                                             ("window_overlap", "0.5"),
+                                             ("epochs", -2), ("max_proposals", 0),
+                                             ("seed", -1), ("seed", 2 ** 64)])
     def test_bad_value_rejected_naming_field(self, field, value):
         with pytest.raises(ValueError, match=f"RunConfig.{field}"):
             pl.RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("learning_rate", 0.0), ("snms_floor", 0.0),
+                                             ("guidance_beta", 1), ("epochs", 0),
+                                             ("max_proposals", 1), ("seed", 2 ** 64 - 1),
+                                             ("confidence_lambda", np.float64(2.0))])
+    def test_boundary_values_accepted(self, field, value):
+        assert getattr(pl.RunConfig(**{field: value}), field) == value
 
     def test_duration_mask_mode_in_config_file_loads(self, tmp_path):
         cfg = tiny_run_config(tmp_path)
@@ -597,7 +612,11 @@ class TestInference:
 
         monkeypatch.setattr(t, "band_map_conv", spy)
         ckpt = pl.train(cfg, train_ds).checkpoints[-1]
-        assert cells and set(cells) == {T * T}
+        # training: the cells e >= s, the 2 * dilation diagonals below them that the
+        # 3x3 map conv reaches, and one stand-in for the cells further below
+        strip = sum(T - d for d in range(1, 2 * cfg.dilation + 1))
+        assert 2 * cfg.dilation < T - 1
+        assert cells and set(cells) == {T * (T + 1) // 2 + strip + 1}
         cells.clear()
         pl.infer(cfg, ckpt, train_ds)
         assert cells and set(cells) == {T * (T + 1) // 2}
@@ -880,6 +899,10 @@ class TestCli:
         assert cli_main(["--config", cfg_path, "--out", out, "synth"]) == 0
         assert os.path.exists(os.path.join(out, "annotations.json"))
         assert len(os.listdir(os.path.join(out, "features"))) == 2
+
+    def test_seed_flag_checked_like_the_config_field(self, tmp_path):
+        with pytest.raises(ValueError, match=r"RunConfig\.seed must be in \[0, 2\*\*64\)"):
+            cli_main(["--seed", "-1", "--out", str(tmp_path), "cost"])
 
     def test_cost_command(self, tmp_path, capsys):
         cfg = tiny_run_config(tmp_path)

@@ -298,6 +298,44 @@ class TestBatchNorm:
                      [x, state.gamma, state.beta])
             assert err < 1e-4, f"train={train}"
 
+    # a last cell that stands in for many equal ones, as the far cells of a training map
+    @pytest.mark.parametrize("shape,last_count", [((3, 2, 5, 1), 40), ((2, 3, 4), 7)])
+    def test_weighted_last_cell_gradients(self, shape, last_count):
+        r = RNG.standard_normal(shape)
+        x = t.Tensor(RNG.standard_normal(shape), requires_grad=True)
+        state = t.BatchNormState(shape[1])
+        state.gamma = t.Tensor(RNG.standard_normal(shape[1]) + 1.5, requires_grad=True)
+        state.beta = t.Tensor(RNG.standard_normal(shape[1]), requires_grad=True)
+        err = gc(lambda i: t.tsum(t.mul(t.batchnorm_lite(i[0], state, True, last_count), r)),
+                 [x, state.gamma, state.beta])
+        assert err < 1e-4
+
+    def test_weighted_last_cell_equals_its_copies(self):
+        # the last cell counting c times is the batch with that cell written out c times;
+        # its gradient is the sum of the copies' gradients
+        B, C, n, c = 4, 3, 6, 50
+
+        def state():
+            s = t.BatchNormState(C)
+            s.gamma.data[...] = np.linspace(-1.5, 2.0, C)
+            s.beta.data[...] = np.linspace(0.3, -0.4, C)
+            return s
+
+        x = RNG.standard_normal((B, C, n, 1)) * 2.0 + 0.7
+        dense = np.concatenate([x[:, :, :-1], np.repeat(x[:, :, -1:], c, axis=2)], axis=2)
+        g_dense = RNG.standard_normal(dense.shape)
+        g = np.concatenate([g_dense[:, :, :n - 1], g_dense[:, :, n - 1:].sum(2, keepdims=True)],
+                           axis=2)
+        states = [state(), state()]
+        out = t.batchnorm_lite(t.Tensor(x, requires_grad=True), states[0], True, c)
+        ref = t.batchnorm_lite(t.Tensor(dense, requires_grad=True), states[1], True)
+        (gx, g_gamma, g_beta), (rgx, r_gamma, r_beta) = out._backward(g), ref._backward(g_dense)
+        rgx = np.concatenate([rgx[:, :, :n - 1], rgx[:, :, n - 1:].sum(2, keepdims=True)], 2)
+        for got, want in ((out.data, ref.data[:, :, :n]), (gx, rgx), (g_gamma, r_gamma),
+                          (g_beta, r_beta), (states[0].running_mean, states[1].running_mean),
+                          (states[0].running_var, states[1].running_var)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     # desk map width, then the published one
     @pytest.mark.parametrize("shape", [(16, 16, 100, 100), (4, 128, 100, 100)])
     @pytest.mark.parametrize("train", [True, False])
@@ -391,14 +429,18 @@ BAND_MAP_CASES = [
 ]
 
 
-def _packed_cells(T, lower):
-    """(rows, cols) of band_map_conv's packed cells, written out one by one: the
-    diagonals d = e - s from 0 up, each by s, then, if lower, d = -1 down, each by e."""
+def _packed_cells(T, strip=0):
+    """(rows, cols) of band_map_conv's packed map cells, written out one by one: the
+    diagonals d = e - s from 0 up, each by s, then d = -1 down to -strip, each by e."""
     cells = [(s, s + d) for d in range(T) for s in range(T - d)]
-    if lower:
-        cells += [(e - d, e) for d in range(-1, -T, -1) for e in range(T + d)]
+    cells += [(e - d, e) for d in range(-1, -strip - 1, -1) for e in range(T + d)]
     rows, cols = zip(*cells)
     return np.array(rows), np.array(cols)
+
+
+def _strip(T, dilation, k=3):
+    """The diagonals below e = s that a k x k tap of `dilation` reaches."""
+    return min((k - 1) * dilation, T - 1)
 
 
 class TestBandMapConv:
@@ -408,13 +450,23 @@ class TestBandMapConv:
     def test_matches_dense_on_every_cell(self, T, edges, dilation, C, Co):
         starts, ends, w, b = _band_inputs(2, C, Co, T, edges)
         want = _dense_band_map_conv(starts, ends, edges, w, b, dilation).data
-        for lower, n in ((False, T * (T + 1) // 2), (True, T * T)):
+        strip = _strip(T, dilation)
+        for lower in (False, True):
             got = t.band_map_conv(starts, ends, edges, w, b, dilation, lower=lower).data
-            rows, cols = _packed_cells(T, lower)
-            assert got.shape == (2, Co, n, 1)
-            assert np.abs(got[..., 0] - want[:, :, rows, cols]).max() <= 1e-12
-        # the lower triangle is not constant: taps reach across the diagonal
+            rows, cols = _packed_cells(T, strip if lower else 0)
+            n_far = T * T - rows.size if lower else 0
+            assert got.shape == (2, Co, rows.size + (n_far > 0), 1)
+            assert np.abs(got[:, :, :rows.size, 0] - want[:, :, rows, cols]).max() <= 1e-12
+        # every dense cell below the strip is exactly b, and so is their one stand-in
+        s, e = np.indices((T, T))
+        np.testing.assert_array_equal(want[:, :, e - s < -strip],
+                                      np.broadcast_to(b.data[:, None], (2, Co, n_far)))
+        if n_far:
+            np.testing.assert_array_equal(got[:, :, -1, 0], np.broadcast_to(b.data, (2, Co)))
+        # the strip is not constant: taps reach across the diagonal, down to its last one
         assert np.abs(got[:, :, T * (T + 1) // 2, 0] - b.data).max() > 0
+        last = got[:, :, rows.size - (T - strip):rows.size, 0]
+        assert np.abs(last - b.data[:, None]).max() > 0
 
     @pytest.mark.parametrize("T,edges,dilation,C,Co", BAND_MAP_CASES)
     def test_upper_matches_graph_op_on_upper_cells(self, T, edges, dilation, C, Co):
@@ -435,7 +487,7 @@ class TestBandMapConv:
         assert list(zip(rows, cols))[:7] == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4),
                                              (0, 1), (1, 2)]
         np.testing.assert_array_equal(np.stack(t.upper_cells(5)),
-                                      np.stack(_packed_cells(5, lower=False)))
+                                      np.stack(_packed_cells(5)))
         assert not rows.flags.writeable and not cols.flags.writeable
 
     @pytest.mark.parametrize("T,edges,dilation", [(8, [0, 3, 8], 2), (16, [0, 5, 11, 16], 7),
@@ -450,22 +502,31 @@ class TestBandMapConv:
             loss.backward()
             return [x.grad.copy() for x in leaves]
 
+        s, e = np.indices((T, T))
         for lower in (False, True):
-            rows, cols = _packed_cells(T, lower)
+            rows, cols = _packed_cells(T, _strip(T, dilation) if lower else 0)
             probe = np.zeros((2, 4, T, T))  # cells the packed output leaves out get none
             probe[:, :, rows, cols] = RNG.standard_normal((2, 4, rows.size))
+            packed = probe[:, :, rows, cols]
+            far = e - s < -_strip(T, dilation)
+            if lower and far.any():
+                # the far cells' stand-in carries the gradient of every cell it stands for
+                probe[:, :, far] = RNG.standard_normal((2, 4, far.sum()))
+                packed = np.concatenate([packed, probe[:, :, far].sum(axis=2)[..., None]], 2)
             out = t.band_map_conv(starts, ends, edges, w, b, dilation, lower=lower)
-            got = grads(t.tsum(t.mul(out, probe[:, :, rows, cols, None])))
+            got = grads(t.tsum(t.mul(out, packed[..., None])))
             dense = _dense_band_map_conv(starts, ends, edges, w, b, dilation)
             for g, want in zip(got, grads(t.tsum(t.mul(dense, probe)))):
                 assert np.abs(g - want).max() <= 1e-12
 
     @pytest.mark.parametrize("T,edges,dilation", [(6, [0, 2, 6], 2), (7, [0, 7], 4),
-                                                  (7, [0, 1, 3, 7], 5)])
+                                                  (7, [0, 1, 3, 7], 5),
+                                                  (8, [0, 3, 8], 1)])  # 15 far cells
     def test_gradients(self, T, edges, dilation):
         starts, ends, w, b = _band_inputs(2, 2, 3, T, edges, requires_grad=True)
         nb = len(starts)
-        probe = RNG.standard_normal((2, 3, T * T, 1))
+        probe = RNG.standard_normal(
+            t.band_map_conv(starts, ends, edges, w, b, dilation, lower=True).shape)
 
         def f(i):
             out = t.band_map_conv(i[:nb], i[nb:2 * nb], edges, i[-2], i[-1], dilation,
