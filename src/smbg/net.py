@@ -16,12 +16,13 @@ confidence-head conv reads the band sequences directly
 e >= s plus, in training, the cells e < s that batch statistics pool: the
 diagonals the dilated conv reaches, and one cell that stands in for the
 rest, which all equal the conv's bias (``tensor.lower_strip``).
-Eval mode folds each batchnorm into the 1x1 conv after it, and
-``SmbgNet.predict``, which inference runs, is the eval forward without a
-graph. The dense map path (``mpfg_forward`` + ``sec_head``) stays as the
-reference it is checked against. The speed benchmark
-(``costmodel.bench``) times the band layer as ``mpfg_forward`` under
-``tensor.no_grad``, the same ops that training runs. A BMN-style
+The tail after it is three ``tensor.relu_bn_conv1x1`` blocks (relu,
+batchnorm and 1x1 conv as one op, the batchnorm folded into the conv in
+both modes) and a sigmoid. ``SmbgNet.predict``, which inference runs, is
+the eval forward without a graph. The dense map path (``mpfg_forward`` +
+``sec_head``) stays as the reference it is checked against. The speed
+benchmark (``costmodel.bench``) times the band layer as ``mpfg_forward``
+under ``tensor.no_grad``, the same ops that training runs. A BMN-style
 sampling generator is included purely as the efficiency baseline for the
 cost model and benchmarks; it is the only code here that calls raw numpy
 conv kernels directly.
@@ -307,27 +308,16 @@ class SmbgNet:
         return t.select_channel(out, 0), t.select_channel(out, 1)
 
     def _sec_tail(self, h, train, last_count=1):
-        """Everything after the first map conv, [B, H, ...] cells -> [B, 2, ...]
-        (relu/bn, 1x1 convs, sigmoid). In training the last cell of each item
-        counts last_count times in every batchnorm's statistics; every other
-        op is per cell, so a cell that stands in for equal cells stays one.
-        Eval mode folds each batchnorm into the 1x1 conv after it and runs on
-        raw arrays, so its output has no graph; its first relu overwrites h's
-        data, which no caller reads again."""
-        if train:
-            h = t.batchnorm_lite(t.relu(h), self.sec_bn1, True, last_count)
-            h = t.batchnorm_lite(t.relu(self.sec_c1(h)), self.sec_bn2, True, last_count)
-            h = t.batchnorm_lite(t.relu(self.sec_c2(h)), self.sec_bn3, True, last_count)
-            return t.sigmoid(self.sec_c3(h))
-        B, H, *cells = h.shape
-        h = h.data.reshape(B, H, -1)
+        """Everything after the first map conv, [B, H, ...] cells -> [B, 2, ...]:
+        three tensor.relu_bn_conv1x1 blocks (relu, batchnorm, 1x1 conv), then
+        the sigmoid. In training the last cell of each item counts last_count
+        times in every batchnorm's statistics; every other op is per cell, so
+        a cell that stands in for equal cells stays one. In eval each block is
+        its batchnorm folded into its conv, and the output has no graph."""
         for bn, conv in ((self.sec_bn1, self.sec_c1), (self.sec_bn2, self.sec_c2),
                          (self.sec_bn3, self.sec_c3)):
-            w, b = t.fold_batchnorm(bn, conv.w.data[:, :, 0, 0], conv.b.data)
-            np.maximum(h, 0.0, out=h)  # in place: a copy of a map-sized array at peak
-            h = np.matmul(w, h)
-            h += b[:, None]
-        return t.sigmoid(h.reshape(B, 2, *cells))
+            h = t.relu_bn_conv1x1(h, bn, conv.w, conv.b, train, last_count)
+        return t.sigmoid(h)
 
     def forward(self, x, train=False):
         """Full pass: features -> (P_s, P_e, P_c, P_r), P_c and P_r [B, T, T].

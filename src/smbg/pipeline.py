@@ -447,12 +447,28 @@ def _log_lines_before(log_path, step):
     return kept
 
 
+def _non_finite_step(breakdown, outputs):
+    """Which loss terms of a step are non-finite, and the first forward output
+    (in P_s, P_e, P_c, P_r order) holding a non-finite value, with its index."""
+    terms = [name for name, value in (("L_B", breakdown.boundary),
+                                      ("L_C", breakdown.confidence),
+                                      ("L_G", breakdown.guidance))
+             if not np.isfinite(value)] or ["the total"]
+    what = f"{', '.join(terms)} non-finite; "
+    for key in ("P_s", "P_e", "P_c", "P_r"):
+        bad = t.first_non_finite(outputs[key].data)
+        if bad is not None:
+            return what + f"first non-finite output {key} at index {bad}"
+    return what + "every forward output is finite"
+
+
 def train(config, dataset, resume=None):
     """Mini-batch Adam on the full objective; checkpoint per epoch.
 
     Fixed (config, seed) gives an identical loss trajectory and identical
     checkpoint bytes; resuming from an epoch checkpoint continues it
-    exactly. Halts with the offending step on a non-finite loss.
+    exactly. Halts on a non-finite loss, naming the step, the non-finite loss
+    terms and the first forward output that holds a non-finite value.
     """
     os.makedirs(config.checkpoint_dir, exist_ok=True)
     samples = build_samples(dataset, config)
@@ -500,8 +516,11 @@ def train(config, dataset, resume=None):
                                                     beta=config.guidance_beta,
                                                     lam=config.confidence_lambda)
                 if not np.isfinite(breakdown.total):
-                    log.write(json.dumps({"step": global_step, "error": "non-finite loss"}) + "\n")
-                    raise RuntimeError(f"training diverged: non-finite loss at step {global_step}")
+                    what = _non_finite_step(breakdown, outputs)
+                    log.write(json.dumps({"step": global_step,
+                                          "error": f"non-finite loss: {what}"}) + "\n")
+                    raise RuntimeError(f"training diverged: non-finite loss at step "
+                                       f"{global_step}: {what}")
                 opt.zero_grad()
                 loss.backward()
                 opt.step()

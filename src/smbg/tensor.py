@@ -14,6 +14,11 @@ array as a parent's first ``.grad`` without copying it when the array
 owns its memory, is not g, appears once in the tuple and has the
 parent's shape and dtype; anything else is copied. So no two ``.grad``
 arrays share memory, and none shares memory with a node's ``.data``.
+The sweep frees a node's ``.grad`` as soon as that node's own adjoint has
+run, because nothing reads it after that: once ``backward()`` returns,
+only leaves (parameters and inputs, which have no parents) hold a
+``.grad``. To see an intermediate gradient, wrap the node's adjoint,
+which is handed it.
 
 Under ``no_grad`` an op keeps no parents and no adjoint, so the graph ops
 are also the reference and benchmark path. The raw numpy
@@ -24,9 +29,13 @@ only the output rows asked for (``band_rows``: those a band map reads).
 ``band_map_conv`` is the model's first map conv. It computes packed cells:
 the upper triangle e >= s, plus in training the ``lower_strip`` diagonals
 below it that its taps reach and one weighted stand-in for the cells
-further below, which ``batchnorm_lite`` counts as many times as it stands
-for. ``scatter_upper`` writes the upper cells into [B, C, T, T] maps.
-``fold_batchnorm`` folds eval batchnorm into the 1x1 conv after it.
+further below, which batchnorm counts as many times as it stands for.
+``scatter_upper`` writes the upper cells into [B, C, T, T] maps.
+``relu_bn_conv1x1`` is one block of the tail after it, relu -> batchnorm
+-> 1x1 conv as one op: in training the batch statistics fold into the
+conv and the node keeps no map-sized intermediate; in eval it is
+``fold_batchnorm``'s conv and builds no graph. ``batchnorm_lite`` and the
+1x1 ``conv2d_dilated`` it replaces stay as its oracles.
 """
 
 from __future__ import annotations
@@ -139,6 +148,7 @@ class Tensor:
                 if p.requires_grad:
                     p._accumulate(gp, _adoptable(gp, node.grad, grads, p.data))
             del grads, gp  # free what was copied before the next adjoint runs
+            node.grad = None  # no later adjoint reads it; leaves keep theirs
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -170,12 +180,19 @@ class Tensor:
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
+def first_non_finite(data):
+    """Index tuple of the first NaN/Inf in data (C order), or None when all are finite."""
+    if np.all(np.isfinite(data)):
+        return None
+    return tuple(np.argwhere(~np.isfinite(data))[0].tolist())
+
+
 def assert_finite(data, what="array"):
     """NaN/Inf is a contract violation: raise FloatingPointError naming `what`
     and the first non-finite index."""
-    if not np.all(np.isfinite(data)):
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise FloatingPointError(f"non-finite value in {what} at index {tuple(bad.tolist())}")
+    bad = first_non_finite(data)
+    if bad is not None:
+        raise FloatingPointError(f"non-finite value in {what} at index {bad}")
 
 
 def _adoptable(gp, g, grads, like):
@@ -790,6 +807,87 @@ def fold_batchnorm(state, w, b):
     a = state.gamma.data / np.sqrt(state.running_var + state.eps)
     c = state.beta.data - state.running_mean * a
     return w * a, b + w @ c
+
+
+def relu_bn_conv1x1(x, state, w, b, train, last_count=1):
+    """One tail block, z = W bn(relu(x)) + b over the cells of x [B, C, ...], as one op.
+
+    Equals conv2d_dilated(batchnorm_lite(relu(x), state, train, last_count), w, b)
+    for a 1x1 kernel w [Co, C, 1, 1], running statistics included, without
+    keeping relu(x), the normalized cells or the batchnorm output.
+
+    Train mode folds the batch statistics into the conv: with X = relu(x),
+    a = gamma * inv_std and Xc = X - mean, z = (W diag(a)) Xc + (W beta + b).
+    The statistics are batchnorm_lite's (centred biased variance, the last
+    cell of each item counted last_count times). The node keeps mean,
+    inv_std, a and W diag(a); its adjoint recomputes Xc from x and needs
+    only [Co, C] reductions of the upstream G besides the input gradient
+    (Ioffe and Szegedy 2015, arXiv:1502.03167, with batchnorm's affine
+    folded into W). With Mc = sum G Xc^T and g_b = sum G,
+      g_W = Mc diag(a) + g_b beta^T,  g_beta = W^T g_b,
+      g_gamma = inv_std * colsum(W * Mc),
+      g_x = [x > 0] (a W^T G - (a / n) (g_beta + inv_std g_gamma Xc)),
+    where the stand-in last cell takes its mean term last_count times.
+
+    Eval mode is fold_batchnorm's conv on relu(x), one batch item at a time so
+    that x is left as it is, and builds no graph.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    B, C, *cells = x.data.shape
+    Co = w.data.shape[0]
+    if w.data.shape != (Co, C, 1, 1):
+        raise ValueError(f"need a 1x1 kernel over {C} channels, got {w.data.shape}")
+    x3 = x.data.reshape(B, C, -1)
+    w2 = w.data[:, :, 0, 0]
+    if not train:
+        wf, bf = fold_batchnorm(state, w2, b.data)
+        out_data = np.empty((B, Co, x3.shape[2]))
+        r = np.empty(x3.shape[1:])
+        for xi, oi in zip(x3, out_data):
+            np.maximum(xi, 0.0, out=r)
+            np.matmul(wf, r, out=oi)
+            oi += bf[:, None]
+        return Tensor(out_data.reshape(B, Co, *cells), op="relu_bn_conv1x1")
+    extra = last_count - 1  # copies of each last cell not in x
+    n = B * (x3.shape[2] + extra)
+    xc = np.maximum(x3, 0.0)
+    mean = (xc.sum(axis=(0, 2)) + extra * xc[:, :, -1].sum(axis=0)) / n
+    xc -= mean[:, None]
+    sq = xc * xc
+    var = (sq.sum(axis=(0, 2)) + extra * sq[:, :, -1].sum(axis=0)) / n  # biased
+    del sq
+    m = state.momentum
+    state.running_mean = (1 - m) * state.running_mean + m * mean
+    state.running_var = (1 - m) * state.running_var + m * var
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    gamma, beta = state.gamma, state.beta
+    a = gamma.data * inv_std
+    wa = w2 * a
+    out_data = np.matmul(wa, xc)
+    out_data += (w2 @ beta.data + b.data)[:, None]
+
+    def backward(g):
+        G = g.reshape(B, Co, -1)
+        xc = np.maximum(x3, 0.0)
+        xc -= mean[:, None]
+        g_b = G.sum(axis=(0, 2))
+        mc = np.matmul(G, xc.transpose(0, 2, 1)).sum(axis=0)
+        g_w = (mc * a + np.outer(g_b, beta.data)).reshape(Co, C, 1, 1)
+        g_beta = w2.T @ g_b
+        g_gamma = inv_std * (w2 * mc).sum(axis=0)
+        gx = np.empty(x.data.shape)  # owned, so the sweep adopts it
+        gx3 = gx.reshape(B, C, -1)
+        np.matmul(wa.T, G, out=gx3)
+        # batchnorm's mean terms, in place of the centred cells they are made of
+        xc *= (-a * inv_std * g_gamma / n)[:, None]
+        xc -= (a * g_beta / n)[:, None]
+        xc[:, :, -1] *= last_count
+        gx3 += xc
+        gx3 *= x3 > 0.0
+        return gx, g_w, g_b, g_gamma, g_beta
+
+    return _make(out_data.reshape(B, Co, *cells), (x, w, b, gamma, beta), backward,
+                 "relu_bn_conv1x1")
 
 
 # -- verification and optimization ------------------------------------

@@ -304,8 +304,10 @@ class TestFusedForward:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
     def test_desk_step_peak_memory(self):
-        # forward, loss and backward of one desk step peak near 413 MB; a tail run on
-        # all T*T cells instead of the strip and one stand-in peaks near 574 MB
+        # forward, loss and backward of one desk step peak near 171 MB. Keeping every
+        # intermediate gradient until the graph is dropped peaks near 218 MB, an
+        # unfused relu -> batchnorm -> 1x1 conv tail near 413 MB, and a tail run on
+        # all T*T cells instead of the strip and one stand-in near 574 MB
         cfg, x, labels = _desk_batch()
         net = SmbgNet(cfg.model_config(), seed=0)
         tracemalloc.start()
@@ -314,7 +316,7 @@ class TestFusedForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 450e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak <= 250e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_output_has_no_proposal_map(self):
         net = SmbgNet(tiny_config(), seed=1)
@@ -474,7 +476,14 @@ class TestTrimBound:
                           dilation=dilation)
         x = t.Tensor(RNG.standard_normal((2, 3, 16)))
         noise = t.init_rng(9)
-        outs, seqs = [], []
+        outs, seqs, received = [], [], {}
+
+        def receiving(seq, adjoint):  # the sweep frees seq.grad once this has run
+            def backward(g):
+                received[id(seq)] = g
+                return adjoint(g)
+            return backward
+
         for perturb in (False, True):
             net = SmbgNet(cfg, seed=8)
             _non_identity_batchnorm(net, seed=10)
@@ -486,6 +495,8 @@ class TestTrimBound:
                     if perturb:  # only where the trim bound says nothing reads
                         s.data[:, :, 16 - lo:] += noise.normal(0, 50, (2, 3, lo))
                         e.data[:, :, :lo] += noise.normal(0, 50, (2, 3, lo))
+                for seq in (*starts, *ends):
+                    seq._backward = receiving(seq, seq._backward)
                 seqs.append((starts, ends))
                 return starts, ends
 
@@ -500,8 +511,9 @@ class TestTrimBound:
         if train:
             starts, ends = seqs[1]
             for lo, s, e in zip(bands.edges, starts, ends):
-                assert np.all(s.grad[:, :, 16 - lo:] == 0) and np.all(e.grad[:, :, :lo] == 0)
-                assert np.any(s.grad[:, :, :16 - lo] != 0) and np.any(e.grad[:, :, lo:] != 0)
+                gs, ge = received[id(s)], received[id(e)]
+                assert np.all(gs[:, :, 16 - lo:] == 0) and np.all(ge[:, :, :lo] == 0)
+                assert np.any(gs[:, :, :16 - lo] != 0) and np.any(ge[:, :, lo:] != 0)
 
 
 class TestSecHead:

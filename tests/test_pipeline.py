@@ -484,10 +484,38 @@ class TestTraining:
         vid = sorted(train_ds)[0]
         train_ds[vid]["features"] = train_ds[vid]["features"].copy()
         train_ds[vid]["features"][0, :] = np.nan
-        with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
+        with pytest.raises(RuntimeError, match="non-finite loss at step 0: L_B, L_C, L_G "):
             pl.train(cfg, train_ds)
         last = open(os.path.join(cfg.checkpoint_dir, "loss_log.jsonl")).read().splitlines()[-1]
-        assert json.loads(last) == {"step": 0, "error": "non-finite loss"}
+        entry = json.loads(last)
+        assert set(entry) == {"step", "error"} and entry["step"] == 0
+        # the NaN video's batch row, at its first frame
+        assert re.fullmatch(r"non-finite loss: L_B, L_C, L_G non-finite; "
+                            r"first non-finite output P_s at index \(\d, 0\)", entry["error"])
+
+    @pytest.mark.parametrize("key,index,terms", [
+        ("P_s", (1, 2), "L_B, L_G"),         # one start probability
+        ("P_r", ..., "L_C, L_G"),            # the whole regression map
+    ])
+    def test_divergence_names_losses_and_first_non_finite_output(self, tmp_path, monkeypatch,
+                                                                 key, index, terms):
+        cfg = tiny_run_config(tmp_path)
+        train_ds, *_ = tiny_datasets(n_train=4)
+        forward = SmbgNet.forward
+
+        def poisoned(net, x, train=False):
+            out = forward(net, x, train)
+            out[key].data[index] = np.nan
+            return out
+
+        monkeypatch.setattr(SmbgNet, "forward", poisoned)
+        first = index if index is not ... else (0, 0, 0)
+        what = f"{terms} non-finite; first non-finite output {key} at index {first}"
+        with pytest.raises(RuntimeError) as err:
+            pl.train(cfg, train_ds)
+        assert str(err.value) == f"training diverged: non-finite loss at step 0: {what}"
+        last = open(os.path.join(cfg.checkpoint_dir, "loss_log.jsonl")).read().splitlines()[-1]
+        assert json.loads(last) == {"step": 0, "error": f"non-finite loss: {what}"}
 
 
 class TestInference:

@@ -366,6 +366,84 @@ class TestBatchNorm:
         assert np.abs(gx - ref_gx).max() <= 1e-12 * np.abs(ref_gx).max()
 
 
+def _tail_block(C, Co, seed):
+    """A BatchNormState far from identity and a 1x1 conv's w [Co, C, 1, 1], b [Co]."""
+    rng = t.init_rng(seed)
+    s = t.BatchNormState(C)
+    s.gamma.data[...] = rng.uniform(0.3, 2.5, C) * rng.choice([-1.0, 1.0], C)
+    s.beta.data[...] = rng.normal(0.0, 0.5, C)
+    s.running_mean = rng.normal(0.0, 0.7, C)
+    s.running_var = rng.uniform(0.2, 4.0, C)
+    w = t.Tensor(rng.standard_normal((Co, C, 1, 1)) * 0.5, requires_grad=True)
+    b = t.Tensor(rng.standard_normal(Co) * 0.2, requires_grad=True)
+    return s, w, b
+
+
+class TestReluBnConv1x1:
+    """The fused tail block against relu -> batchnorm_lite -> 1x1 conv2d_dilated."""
+
+    # packed cells as the map head computes them, then a dense map; an input mean
+    # far above its spread checks the centred statistics
+    @pytest.mark.parametrize("shape", [(3, 4, 7, 1), (2, 3, 5, 5)], ids=["packed", "dense"])
+    @pytest.mark.parametrize("last_count", [1, 9])
+    @pytest.mark.parametrize("offset", [0.7, 1000.0])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_matches_unfused_chain(self, shape, last_count, offset, train):
+        B, C = shape[:2]
+        rng = t.init_rng(31)
+        x = rng.standard_normal(shape) * 2.0 + offset
+        r = rng.standard_normal((B, 5) + shape[2:])
+        runs = []
+        for fused in (True, False):
+            state, w, b = _tail_block(C, 5, seed=32)
+            xt = t.Tensor(x.copy(), requires_grad=True)
+            if fused:
+                out = t.relu_bn_conv1x1(xt, state, w, b, train, last_count)
+            else:
+                out = t.conv2d_dilated(t.batchnorm_lite(t.relu(xt), state, train, last_count),
+                                       w, b)
+            if train:
+                t.tsum(t.mul(out, r)).backward()
+            grads = [p.grad for p in (xt, w, b, state.gamma, state.beta)]
+            runs.append((out.data, grads, state.running_mean, state.running_var))
+        (out, grads, mean, var), (ref, ref_grads, ref_mean, ref_var) = runs
+        assert out.shape == ref.shape
+        for got, want in ((out, ref), (mean, ref_mean), (var, ref_var)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if not train:  # eval builds no graph
+            assert all(g is None for g in grads)
+            return
+        for got, want in zip(grads, ref_grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape,last_count", [((3, 2, 5, 1), 1), ((3, 2, 5, 1), 40),
+                                                  ((2, 3, 4, 4), 1), ((2, 3, 4, 4), 6)])
+    def test_gradients(self, shape, last_count):
+        rng = t.init_rng(33)
+        x = rng.standard_normal(shape)
+        x = t.Tensor(np.where(np.abs(x) < 0.05, 0.3, x), requires_grad=True)  # off the kink
+        state, w, b = _tail_block(shape[1], 3, seed=34)
+        r = rng.standard_normal((shape[0], 3) + shape[2:])
+        err = gc(lambda i: t.tsum(t.mul(t.relu_bn_conv1x1(i[0], state, i[1], i[2], True,
+                                                          last_count), r)),
+                 [x, w, b, state.gamma, state.beta])
+        assert err < 1e-4
+
+    def test_eval_leaves_input_unchanged_and_builds_no_graph(self):
+        state, w, b = _tail_block(3, 4, seed=35)
+        x = t.Tensor(RNG.standard_normal((2, 3, 6, 1)), requires_grad=True)
+        before = x.data.copy()
+        out = t.relu_bn_conv1x1(x, state, w, b, False)
+        np.testing.assert_array_equal(x.data, before)
+        assert out._parents == () and not out.requires_grad
+
+    def test_wrong_kernel_rejected(self):
+        state, _, b = _tail_block(3, 4, seed=36)
+        for w in (np.ones((4, 3, 3, 3)), np.ones((4, 2, 1, 1))):
+            with pytest.raises(ValueError, match="1x1 kernel over 3 channels"):
+                t.relu_bn_conv1x1(np.ones((2, 3, 4, 1)), state, w, b, True)
+
+
 class TestGatherAssemble:
     def test_take_cells_values_and_accumulation(self):
         m = t.Tensor(RNG.standard_normal((2, 4, 4)), requires_grad=True)
@@ -651,30 +729,49 @@ class TestBackward:
                 stack.extend(node._parents)
         return loss, list(nodes.values())
 
+    @staticmethod
+    def _received(node, into):
+        """Wrap node's adjoint so that the gradient it is handed, its .grad until the
+        sweep frees it, is kept in into[id(node)]."""
+        adjoint = node._backward
+
+        def backward(g):
+            into[id(node)] = g
+            return adjoint(g)
+
+        node._backward = backward
+
     def test_desk_step_adopts_1x1_conv_input_gradients(self):
         loss, nodes = self._desk_step_graph()
-        returned = {}
+        returned, received = {}, {}
 
-        def recording(node, adjoint):
+        def returning(node, adjoint):
             def backward(g):
                 grads = adjoint(g)
                 returned[id(node)] = grads[0]
                 return grads
             return backward
 
-        convs = [n for n in nodes if n.op == "conv2d_dilated"
-                 and n._parents[1].data.shape[2:] == (1, 1)]
-        assert len(convs) == 3  # sec_c1, sec_c2, sec_c3
-        for n in convs:
-            n._backward = recording(n, n._backward)
+        blocks = [n for n in nodes if n.op == "relu_bn_conv1x1"]
+        assert len(blocks) == 3  # sec_bn1/sec_c1, sec_bn2/sec_c2, sec_bn3/sec_c3
+        for n in blocks:
+            n._backward = returning(n, n._backward)
+            self._received(n._parents[0], received)
         loss.backward()
-        for n in convs:
-            assert id(n._parents[0].grad) == id(returned[id(n)])  # adopted, not copied
+        for n in blocks:
+            # the input's gradient is the array the block's adjoint returned: adopted
+            assert received[id(n._parents[0])] is returned[id(n)]
 
     def test_desk_step_grads_share_no_memory(self):
         loss, nodes = self._desk_step_graph()
+        received = {}
+        for n in nodes:
+            if n._backward is not None:
+                self._received(n, received)
         loss.backward()
-        grads = [n.grad for n in nodes if n.grad is not None]
+        # intermediate gradients as their adjoints saw them; the sweep frees them after
+        assert all(n.grad is None for n in nodes if n._parents)
+        grads = list(received.values()) + [n.grad for n in nodes if n.grad is not None]
         assert len(grads) > 100
         for i, a in enumerate(grads):
             assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
