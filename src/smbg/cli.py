@@ -49,8 +49,8 @@ def cmd_train(args):
     cfg.checkpoint_dir = os.path.join(cfg.out_dir, "checkpoints")
     dataset = _load_dataset(cfg)
     result = pipeline.train(cfg, dataset, resume=args.resume)
-    print(f"trained {cfg.epochs} epochs, {result.steps} steps")
-    for e, m in enumerate(result.epoch_mean_loss, start=1):
+    print(f"trained {len(result.epoch_mean_loss)} epochs, {result.steps} steps in all")
+    for e, m in enumerate(result.epoch_mean_loss, start=result.start_epoch + 1):
         print(f"  epoch {e}: mean total loss {m:.4f}")
     print(f"checkpoints: {', '.join(result.checkpoints[-2:])}")
 

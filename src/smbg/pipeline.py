@@ -423,6 +423,7 @@ class TrainResult:
     epoch_mean_loss: list
     steps: int
     log_path: str
+    start_epoch: int = 0  # epochs done before this call; epoch_mean_loss[0] is epoch start_epoch + 1
 
 
 def _log_lines_before(log_path, step):
@@ -462,30 +463,61 @@ def _non_finite_step(breakdown, outputs):
     return what + "every forward output is finite"
 
 
+def _resume_state(config, resume):
+    """(net, Adam state, epochs done, steps done) of a fresh run, or of the
+    checkpoint `resume`."""
+    if resume is None:
+        net = SmbgNet(config.model_config(), seed=config.seed)
+        return net, t.AdamState(net.parameters(), lr=config.learning_rate), 0, 0
+    header, arrays = load_arrays(resume)
+    net = net_from_arrays(header, arrays, f"checkpoint {resume}")
+    opt = t.AdamState(net.parameters(), lr=config.learning_rate)
+    opt.load_state_arrays(arrays, f"checkpoint {resume}")
+    return net, opt, int(header["epoch"]), int(header["global_step"])
+
+
+def _train_step(net, opt, batch, config, step, log):
+    """Forward, loss, backward and Adam update of one batch of samples.
+
+    Returns only the step's LossBreakdown: the graph lives in this frame
+    alone, so it is released when the step returns, before the next step's
+    forward builds its own. A non-finite loss writes an error line to `log`
+    and raises, naming the step, the non-finite loss terms and the first
+    forward output that holds a non-finite value.
+    """
+    x = t.Tensor(np.stack([b["x"] for b in batch]))
+    g_s, g_e, g_c = (np.stack([b[key] for b in batch]) for key in ("g_s", "g_e", "g_c"))
+    outputs = net.forward(x, train=True)
+    cfg = config.sampling_config(rng_seed=_step_seed(config.seed, step))
+    loss, breakdown = losses.total_loss(outputs, g_s, g_e, g_c, cfg,
+                                        beta=config.guidance_beta,
+                                        lam=config.confidence_lambda)
+    if not np.isfinite(breakdown.total):
+        what = _non_finite_step(breakdown, outputs)
+        log.write(json.dumps({"step": step, "error": f"non-finite loss: {what}"}) + "\n")
+        raise RuntimeError(f"training diverged: non-finite loss at step {step}: {what}")
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return breakdown
+
+
 def train(config, dataset, resume=None):
     """Mini-batch Adam on the full objective; checkpoint per epoch.
 
     Fixed (config, seed) gives an identical loss trajectory and identical
     checkpoint bytes; resuming from an epoch checkpoint continues it
-    exactly. Halts on a non-finite loss, naming the step, the non-finite loss
-    terms and the first forward output that holds a non-finite value.
+    exactly. Each step runs in _train_step, so at most one step's graph is
+    alive at a time. Halts on a non-finite loss, naming the step, the
+    non-finite loss terms and the first forward output that holds a
+    non-finite value. The result's epoch_mean_loss holds the epochs this
+    call ran, start_epoch + 1 onward.
     """
     os.makedirs(config.checkpoint_dir, exist_ok=True)
     samples = build_samples(dataset, config)
     if not samples:
         raise ValueError("training needs at least one sample")
-    start_epoch = 0
-    global_step = 0
-    if resume is None:
-        net = SmbgNet(config.model_config(), seed=config.seed)
-        opt = t.AdamState(net.parameters(), lr=config.learning_rate)
-    else:
-        header, arrays = load_arrays(resume)
-        net = net_from_arrays(header, arrays, f"checkpoint {resume}")
-        opt = t.AdamState(net.parameters(), lr=config.learning_rate)
-        opt.load_state_arrays(arrays, f"checkpoint {resume}")
-        start_epoch = int(header["epoch"])
-        global_step = int(header["global_step"])
+    net, opt, start_epoch, global_step = _resume_state(config, resume)
 
     log_path = os.path.join(config.checkpoint_dir, "loss_log.jsonl")
     checkpoints = []
@@ -504,26 +536,8 @@ def train(config, dataset, resume=None):
             order = t.init_rng(order_seed).permutation(len(samples))
             epoch_losses = []
             for lo in range(0, len(order), config.batch_size):
-                idx = order[lo:lo + config.batch_size]
-                batch = [samples[i] for i in idx]
-                x = t.Tensor(np.stack([b["x"] for b in batch]))
-                g_s = np.stack([b["g_s"] for b in batch])
-                g_e = np.stack([b["g_e"] for b in batch])
-                g_c = np.stack([b["g_c"] for b in batch])
-                outputs = net.forward(x, train=True)
-                cfg = config.sampling_config(rng_seed=_step_seed(config.seed, global_step))
-                loss, breakdown = losses.total_loss(outputs, g_s, g_e, g_c, cfg,
-                                                    beta=config.guidance_beta,
-                                                    lam=config.confidence_lambda)
-                if not np.isfinite(breakdown.total):
-                    what = _non_finite_step(breakdown, outputs)
-                    log.write(json.dumps({"step": global_step,
-                                          "error": f"non-finite loss: {what}"}) + "\n")
-                    raise RuntimeError(f"training diverged: non-finite loss at step "
-                                       f"{global_step}: {what}")
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
+                batch = [samples[i] for i in order[lo:lo + config.batch_size]]
+                breakdown = _train_step(net, opt, batch, config, global_step, log)
                 log.write(json.dumps({"step": global_step, "L_B": breakdown.boundary,
                                       "L_C": breakdown.confidence, "L_G": breakdown.guidance,
                                       "total": breakdown.total, "seed": breakdown.seed},
@@ -536,7 +550,7 @@ def train(config, dataset, resume=None):
                                       "run_config": config.to_dict()}, opt)
             checkpoints.append(ck)
     return TrainResult(checkpoints=checkpoints, epoch_mean_loss=epoch_means,
-                       steps=global_step, log_path=log_path)
+                       steps=global_step, log_path=log_path, start_epoch=start_epoch)
 
 
 # -- inference --------------------------------------------------------------

@@ -23,9 +23,11 @@ which is handed it.
 Under ``no_grad`` an op keeps no parents and no adjoint, so the graph ops
 are also the reference and benchmark path. The raw numpy
 kernels (``conv1d_same_raw``, ``conv2d_dilated_raw``) are what the graph
-ops and their adjoints run; outside this module only the
-boundary-matching baseline and the tests call them. A 1-D conv computes
-only the output rows asked for (``band_rows``: those a band map reads).
+ops' forwards run, and ``conv2d_dilated``'s adjoint reuses the forward's
+im2col; outside this module only the boundary-matching baseline and the
+tests call them. A 1-D conv computes only the output rows asked for
+(``band_rows``: those a band map reads), and its node keeps no im2col:
+its adjoint is a loop of one GEMM per tap over the time-major rows.
 ``band_map_conv`` is the model's first map conv. It computes packed cells:
 the upper triangle e >= s, plus in training the ``lower_strip`` diagonals
 below it that its taps reach and one weighted stand-in for the cells
@@ -363,7 +365,7 @@ def select_channel(x, c):
     return _make(x.data[:, c], (x,), backward, "select_channel")
 
 
-# -- convolution kernels (raw numpy, shared by graph ops and their adjoints)
+# -- convolution kernels (raw numpy, the forwards of the graph ops)
 
 def _im2col1d(x, k, lo, hi):
     """Time-major [hi-lo, B, C*k] patch matrix of the zero-padded input, times lo..hi-1."""
@@ -391,12 +393,21 @@ def conv1d_same_raw(x, w, b, lo=0, hi=None, col=None):
 
 
 def conv1d_same(x, w, b, lo=0, hi=None):
-    """'Same'-length 1D cross-correlation, zero padding, odd kernels; rows [lo, hi) only."""
+    """'Same'-length 1D cross-correlation, zero padding, odd kernels; rows [lo, hi) only.
+
+    The forward's im2col is freed when this returns: the adjoint does not
+    capture it, so the node keeps x, w and b and nothing else. The adjoint
+    loops over the k taps. Tap j pairs output time t with input time
+    t + j - (k-1)//2, so with the n rows of g and the input both time-major,
+    the tap's gw slice and its share of gx are one GEMM each over all n*B
+    rows, and the gx share lands by one shifted add. No im2col, of x or of
+    g, is kept or rebuilt.
+    """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ValueError("conv1d_same expects x[B,C,T] and w[Cout,Cin,k]")
     Co, Ci, k = w.data.shape
-    T = x.data.shape[2]
+    B, _, T = x.data.shape
     hi = T if hi is None else hi
     if k % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {k}")
@@ -410,13 +421,22 @@ def conv1d_same(x, w, b, lo=0, hi=None):
     out_data = conv1d_same_raw(x.data, w.data, b.data, lo, hi, col)
 
     def backward(g):
-        g = np.pad(g[:, :, lo:hi], ((0, 0), (0, 0), (lo, T - hi)))  # the 0 rows pass nothing
-        # grad wrt input: correlate g with the tap-flipped, channel-swapped kernel
-        w_flip = np.ascontiguousarray(w.data[:, :, ::-1].transpose(1, 0, 2))
-        # grad wrt weight: one GEMM over the time-major rows, [Co, n*B] @ [n*B, Ci*k]
-        g_rows = g[:, :, lo:hi].transpose(1, 2, 0).reshape(Co, -1)
-        gw = np.matmul(g_rows, col.reshape(-1, Ci * k)).reshape(Co, Ci, k)
-        return conv1d_same_raw(g, w_flip, None), gw, g_rows.sum(axis=1)
+        n, p = hi - lo, (k - 1) // 2
+        # [n*B, Co] time-major rows of g; the 0 rows outside [lo, hi) pass nothing
+        g_rows = np.ascontiguousarray(g[:, :, lo:hi].transpose(2, 0, 1)).reshape(n * B, Co)
+        # input times lo-p .. hi+p-1, which the taps read, time-major and zero-padded
+        t0, t1 = max(lo - p, 0), min(hi + p, T)
+        xs = np.zeros((n + k - 1, B, Ci))
+        xs[t0 - lo + p:t1 - lo + p] = x.data[:, :, t0:t1].transpose(2, 0, 1)
+        w_taps = np.ascontiguousarray(w.data.transpose(2, 0, 1))  # [k, Co, Ci]
+        gxs = np.zeros_like(xs)
+        gw = np.empty((k, Co, Ci))
+        for j in range(k):
+            np.matmul(g_rows.T, xs[j:j + n].reshape(n * B, Ci), out=gw[j])
+            gxs[j:j + n] += np.matmul(g_rows, w_taps[j]).reshape(n, B, Ci)
+        gx = np.zeros((B, Ci, T))
+        gx[:, :, t0:t1] = gxs[t0 - lo + p:t1 - lo + p].transpose(1, 2, 0)
+        return gx, gw.transpose(1, 2, 0), g_rows.sum(axis=0)
 
     return _make(out_data, (x, w, b), backward, "conv1d_same")
 

@@ -245,6 +245,18 @@ def _train_step(cfg, outputs, labels):
     loss.backward()
 
 
+def _desk_step_peak():
+    """tracemalloc peak, in bytes, of the forward, loss and backward of one desk step."""
+    cfg, x, labels = _desk_batch()
+    net = SmbgNet(cfg.model_config(), seed=0)
+    tracemalloc.start()
+    try:
+        _train_step(cfg, net.forward(t.Tensor(x), train=True), labels)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _dense_tail_forward(net, x):
     """forward(x, train=True) with the tail unweighted on all T*T cells: the far cells'
     stand-in is copied to every cell it stands for before the tail runs."""
@@ -304,19 +316,32 @@ class TestFusedForward:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
     def test_desk_step_peak_memory(self):
-        # forward, loss and backward of one desk step peak near 171 MB. Keeping every
-        # intermediate gradient until the graph is dropped peaks near 218 MB, an
-        # unfused relu -> batchnorm -> 1x1 conv tail near 413 MB, and a tail run on
-        # all T*T cells instead of the strip and one stand-in near 574 MB
-        cfg, x, labels = _desk_batch()
-        net = SmbgNet(cfg.model_config(), seed=0)
+        # forward, loss and backward of one desk step peak near 116 MB. With each 1-D
+        # conv node keeping its forward im2col for the weight gradient it peaked near
+        # 171 MB, keeping every intermediate gradient until the graph is dropped near
+        # 218 MB, with an unfused relu -> batchnorm -> 1x1 conv tail near 413 MB, and
+        # with that tail run on all T*T cells instead of the strip and one stand-in
+        # near 574 MB
+        peak = _desk_step_peak()
+        assert peak <= 140e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_train_holds_one_step_graph_at_a_time(self, tmp_path):
+        # three desk steps of pipeline.train peak near one step's peak; with the last
+        # step's graph still alive while the next forward builds one they peaked near
+        # 271 MB against 171 MB for one step
+        from smbg import pipeline as pl
+        cfg = pl.RunConfig(epochs=1, checkpoint_dir=str(tmp_path))
+        train_ds, *_ = pl.make_benchmark_datasets(0, n_train=3 * cfg.batch_size, n_eval=1,
+                                                  channels=cfg.in_channels)
+        step = _desk_step_peak()
         tracemalloc.start()
         try:
-            _train_step(cfg, net.forward(t.Tensor(x), train=True), labels)
+            result = pl.train(cfg, train_ds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 250e6, f"peak {peak / 1e6:.1f} MB"
+        assert result.steps == 3
+        assert peak <= 1.2 * step, f"train {peak / 1e6:.1f} MB, one step {step / 1e6:.1f} MB"
 
     def test_output_has_no_proposal_map(self):
         net = SmbgNet(tiny_config(), seed=1)

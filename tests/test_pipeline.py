@@ -965,6 +965,25 @@ class TestCli:
         report = json.loads(open(os.path.join(out, "eval_report.json")).read())
         assert 0.0 <= report["auc"] <= 100.0
 
+    def test_train_resume_numbers_the_epochs_it_ran(self, tmp_path, capsys):
+        ds_dir = str(tmp_path / "data")
+        ds, _ = pl.synth_dataset(pl.SyntheticSpec(num_videos=4, channels=4, seed=9))
+        ann_path = pl.write_dataset(ds, ds_dir)
+        paths = {}
+        for epochs in (1, 2):
+            cfg = tiny_run_config(tmp_path, epochs=epochs, annotations_path=ann_path,
+                                  features_dir=os.path.join(ds_dir, "features"))
+            paths[epochs] = str(tmp_path / f"cfg{epochs}.json")
+            cfg.save(paths[epochs])
+        out = str(tmp_path / "run_out")
+        assert cli_main(["--config", paths[1], "--out", out, "train"]) == 0
+        capsys.readouterr()
+        ckpt = os.path.join(out, "checkpoints", "epoch_001.ckpt")
+        assert cli_main(["--config", paths[2], "--out", out, "train", "--resume", ckpt]) == 0
+        printed = capsys.readouterr().out
+        assert "trained 1 epochs" in printed
+        assert "epoch 2:" in printed and "epoch 1:" not in printed
+
     def test_bench_command_with_size_flags(self, tmp_path, capsys):
         out = str(tmp_path / "bench_out")
         assert cli_main(["--out", out, "bench", "--repetitions", "10", "--batch", "2",

@@ -1,5 +1,7 @@
 """Tensor engine: op semantics, adjoints, record plumbing, Adam."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,20 @@ RNG = t.init_rng(20240901)
 
 def gc(fn, tensors, eps=1e-4):
     return t.grad_check(fn, tensors, eps)
+
+
+def _im2col_adjoint(x, w, lo, hi, g):
+    """The 1-D conv adjoint that kept the forward's time-major im2col, as an oracle:
+    gw is one GEMM over its rows, gx the correlation of g with the tap-flipped,
+    channel-swapped kernel."""
+    T = x.shape[2]
+    Co, Ci, k = w.shape
+    col = t._im2col1d(x, k, lo, hi)
+    g = np.pad(g[:, :, lo:hi], ((0, 0), (0, 0), (lo, T - hi)))
+    w_flip = np.ascontiguousarray(w[:, :, ::-1].transpose(1, 0, 2))
+    g_rows = g[:, :, lo:hi].transpose(1, 2, 0).reshape(Co, -1)
+    gw = np.matmul(g_rows, col.reshape(-1, Ci * k)).reshape(Co, Ci, k)
+    return t.conv1d_same_raw(g, w_flip, None), gw, g_rows.sum(axis=1)
 
 
 class TestConv1d:
@@ -82,6 +98,53 @@ class TestConv1d:
             return t.tsum(t.mul(t.square(t.add(t.conv1d_same(*i, lo, hi), 1.0)), probe))
 
         assert gc(f, [x, w, b]) < 1e-4
+
+    # the tests below draw from their own generators, leaving RNG's stream to the rest
+
+    def test_wide_kernel_gradients(self):
+        # taps reach past both ends of the rows and of the input
+        rng = t.init_rng(91)
+        x = t.Tensor(rng.standard_normal((2, 2, 7)), requires_grad=True)
+        w = t.Tensor(rng.standard_normal((3, 2, 9)) * 0.3, requires_grad=True)
+        b = t.Tensor(rng.standard_normal(3) * 0.2, requires_grad=True)
+        probe = rng.standard_normal((2, 3, 7))
+        assert gc(lambda i: t.tsum(t.mul(t.conv1d_same(*i, 1, 5), probe)), [x, w, b]) < 1e-4
+
+    # desk widths at T=100; published widths (Ci=128, Co=256) at T=24, which keeps
+    # the oracle's im2col of g near 80 MB at B=16, k=99
+    @pytest.mark.parametrize("Ci,Co,T,lo,hi", [(16, 16, 100, 7, 93), (128, 256, 24, 3, 21)])
+    @pytest.mark.parametrize("B", [1, 4, 16])
+    @pytest.mark.parametrize("k", [1, 3, 17, 99])
+    def test_adjoint_matches_im2col_adjoint(self, Ci, Co, T, lo, hi, B, k):
+        rng = t.init_rng(92)
+        x = t.Tensor(rng.standard_normal((B, Ci, T)), requires_grad=True)
+        w = t.Tensor(rng.standard_normal((Co, Ci, k)), requires_grad=True)
+        b = t.Tensor(rng.standard_normal(Co), requires_grad=True)
+        g = rng.standard_normal((B, Co, T))
+        t.tsum(t.mul(t.conv1d_same(x, w, b, lo, hi), g)).backward()
+        want = _im2col_adjoint(x.data, w.data, lo, hi, g)
+        for name, got, ref in zip(("gx", "gw", "gb"), (x.grad, w.grad, b.grad), want):
+            assert got.shape == ref.shape, name
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    def test_node_keeps_no_im2col(self, monkeypatch):
+        rng = t.init_rng(93)
+        made = []
+        im2col = t._im2col1d
+
+        def recording(*args):
+            col = im2col(*args)
+            made.extend(weakref.ref(a) for a in (col, col.base) if a is not None)
+            return col
+
+        monkeypatch.setattr(t, "_im2col1d", recording)
+        x = t.Tensor(rng.standard_normal((4, 3, 20)), requires_grad=True)
+        w = t.Tensor(rng.standard_normal((5, 3, 7)), requires_grad=True)
+        b = t.Tensor(rng.standard_normal(5), requires_grad=True)
+        out = t.conv1d_same(x, w, b, 2, 17)
+        assert made and all(ref() is None for ref in made)
+        t.tsum(out).backward()
+        assert w.grad is not None
 
     @pytest.mark.parametrize("lo,hi", [(3, 3), (4, 2), (-1, 3), (0, 9)])
     def test_bad_row_range_rejected(self, lo, hi):
