@@ -33,14 +33,21 @@ class SamplingConfig:
             raise ValueError(f"negative_ratio must be >= 1, got {self.negative_ratio}")
 
 
+def _frozen(indices):
+    """Cell indices as a read-only intp array; an intp array is not copied."""
+    out = np.asarray(indices, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass
 class LossBreakdown:
     boundary: float
     confidence: float
     guidance: float
     total: float
-    sampled_negative_indices: list = field(default_factory=list)
-    sampled_zero_indices: list = field(default_factory=list)
+    sampled_negative_indices: np.ndarray = field(default_factory=lambda: _frozen([]))
+    sampled_zero_indices: np.ndarray = field(default_factory=lambda: _frozen([]))
     seed: int = 0
 
 
@@ -119,7 +126,7 @@ def confidence_loss(p_c, p_r, g_c, cfg, lam=CONFIDENCE_LAMBDA):
 
     Returns (loss tensor, sampled negative indices, sampled zero indices);
     indices are positions in the flattened valid-cell list, kept for
-    reproducibility logs.
+    reproducibility logs as read-only intp arrays.
     """
     cells = _valid_cells(p_c.data.shape)
     g_valid = np.asarray(g_c, dtype=np.float64)[cells]
@@ -131,7 +138,7 @@ def confidence_loss(p_c, p_r, g_c, cfg, lam=CONFIDENCE_LAMBDA):
     diff = t.sub(t.take_cells(p_r_valid, (reg_idx,)), g_valid[reg_idx])
     reg = t.tmean(t.square(diff))
     loss = t.add(cls, t.mul(reg, lam))
-    return loss, picked_neg.tolist(), picked_zero.tolist()
+    return loss, _frozen(picked_neg), _frozen(picked_zero)
 
 
 def global_guidance_loss(p_s, p_e, p_c, p_r, g_s, g_e, g_c, theta=0.5):

@@ -26,8 +26,10 @@ kernels (``conv1d_same_raw``, ``conv2d_dilated_raw``) are what the graph
 ops' forwards run, and ``conv2d_dilated``'s adjoint reuses the forward's
 im2col; outside this module only the boundary-matching baseline and the
 tests call them. A 1-D conv computes only the output rows asked for
-(``band_rows``: those a band map reads), and its node keeps no im2col:
-its adjoint is a loop of one GEMM per tap over the time-major rows.
+(``band_rows``: those a band map reads). ``conv1d_same_raw`` builds one
+batch item's im2col at a time, next to that item's GEMM, so no batch
+im2col exists; the node keeps none either: its adjoint is a loop of one
+GEMM per tap over the time-major rows.
 ``band_map_conv`` is the model's first map conv. It computes packed cells:
 the upper triangle e >= s, plus in training the ``lower_strip`` diagonals
 below it that its taps reach and one weighted stand-in for the cells
@@ -35,7 +37,8 @@ further below, which batchnorm counts as many times as it stands for.
 ``scatter_upper`` writes the upper cells into [B, C, T, T] maps.
 ``relu_bn_conv1x1`` is one block of the tail after it, relu -> batchnorm
 -> 1x1 conv as one op: in training the batch statistics fold into the
-conv and the node keeps no map-sized intermediate; in eval it is
+conv, every pass runs over one batch item with one item-sized scratch
+array, and the node keeps no map-sized intermediate; in eval it is
 ``fold_batchnorm``'s conv and builds no graph. ``batchnorm_lite`` and the
 1x1 ``conv2d_dilated`` it replaces stay as its oracles.
 """
@@ -369,34 +372,40 @@ def select_channel(x, c):
 
 def _im2col1d(x, k, lo, hi):
     """Time-major [hi-lo, B, C*k] patch matrix of the zero-padded input, times lo..hi-1."""
-    B, C, _ = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), ((k - 1) // 2,) * 2))
+    B, C, T = x.shape
+    p = (k - 1) // 2
+    xp = np.zeros((B, C, T + 2 * p), dtype=x.dtype)  # not np.pad: its overhead is per item
+    xp[:, :, p:p + T] = x
     s0, s1, s2 = xp.strides
     col = as_strided(xp[:, :, lo:], (hi - lo, B, C, k), (s2, s0, s1, s2))
     return np.ascontiguousarray(col).reshape(hi - lo, B, C * k)
 
 
-def conv1d_same_raw(x, w, b, lo=0, hi=None, col=None):
-    """out[b,o,t] = b[o] + sum_{c,j} w[o,c,j] * x_padded[b,c,t+j] for lo <= t < hi, else 0."""
+def conv1d_same_raw(x, w, b, lo=0, hi=None):
+    """out[b,o,t] = b[o] + sum_{c,j} w[o,c,j] * x_padded[b,c,t+j] for lo <= t < hi, else 0.
+
+    One batch item at a time: its [n, Ci*k] im2col, then one GEMM with the
+    weights, so no output depends on B and only one item's patch matrix is
+    alive at once.
+    """
     B, _, T = x.shape
     hi = T if hi is None else hi
     Co, Ci, k = w.shape
-    if col is None:
-        col = _im2col1d(x, k, lo, hi)
-    # one [n, Ci*k] @ [Ci*k, Co] product per batch item, so no output depends on B
-    rows = np.matmul(col.transpose(1, 0, 2), w.reshape(Co, Ci * k).T)
-    if b is not None:
-        rows += b
+    wt = w.reshape(Co, Ci * k).T
     out = np.zeros((B, Co, T))
-    out[:, :, lo:hi] = rows.transpose(0, 2, 1)
+    for i in range(B):
+        rows = _im2col1d(x[i:i + 1], k, lo, hi)[:, 0] @ wt
+        if b is not None:
+            rows += b
+        out[i, :, lo:hi] = rows.T
     return out
 
 
 def conv1d_same(x, w, b, lo=0, hi=None):
     """'Same'-length 1D cross-correlation, zero padding, odd kernels; rows [lo, hi) only.
 
-    The forward's im2col is freed when this returns: the adjoint does not
-    capture it, so the node keeps x, w and b and nothing else. The adjoint
+    The forward is conv1d_same_raw, which builds one item's im2col at a
+    time, and the node keeps x, w and b and nothing else. The adjoint
     loops over the k taps. Tap j pairs output time t with input time
     t + j - (k-1)//2, so with the n rows of g and the input both time-major,
     the tap's gw slice and its share of gx are one GEMM each over all n*B
@@ -417,8 +426,7 @@ def conv1d_same(x, w, b, lo=0, hi=None):
         raise ValueError(f"bias must have shape ({Co},), got {b.data.shape}")
     if not 0 <= lo < hi <= T:
         raise ValueError(f"output rows [{lo}, {hi}) must be a non-empty part of [0, {T})")
-    col = _im2col1d(x.data, k, lo, hi)
-    out_data = conv1d_same_raw(x.data, w.data, b.data, lo, hi, col)
+    out_data = conv1d_same_raw(x.data, w.data, b.data, lo, hi)
 
     def backward(g):
         n, p = hi - lo, (k - 1) // 2
@@ -849,6 +857,16 @@ def relu_bn_conv1x1(x, state, w, b, train, last_count=1):
       g_x = [x > 0] (a W^T G - (a / n) (g_beta + inv_std g_gamma Xc)),
     where the stand-in last cell takes its mean term last_count times.
 
+    Every train pass sweeps one batch item's [C, cells] block at a time
+    through one item-sized scratch array, so besides the output and g_x no
+    map-sized array is made. The forward's sweeps sum the relu cells into
+    the mean, then their centred squares into the variance, then write
+    each item's output; the adjoint's first sweep sums Mc and g_b and
+    writes a W^T G into g_x, its second adds the mean terms and applies
+    the relu mask. Each sum adds the items in the order a whole-batch
+    reduction does, so statistics, output and gradients are bit-identical
+    to whole-batch passes over the [B, C, cells] block.
+
     Eval mode is fold_batchnorm's conv on relu(x), one batch item at a time so
     that x is left as it is, and builds no graph.
     """
@@ -870,12 +888,28 @@ def relu_bn_conv1x1(x, state, w, b, train, last_count=1):
         return Tensor(out_data.reshape(B, Co, *cells), op="relu_bn_conv1x1")
     extra = last_count - 1  # copies of each last cell not in x
     n = B * (x3.shape[2] + extra)
-    xc = np.maximum(x3, 0.0)
-    mean = (xc.sum(axis=(0, 2)) + extra * xc[:, :, -1].sum(axis=0)) / n
-    xc -= mean[:, None]
-    sq = xc * xc
-    var = (sq.sum(axis=(0, 2)) + extra * sq[:, :, -1].sum(axis=0)) / n  # biased
-    del sq
+    r = np.empty(x3.shape[1:])  # one item's cells, the only scratch
+    # item by item, in the order a whole-batch sum adds them
+    total, last = np.zeros(C), np.zeros(C)
+    for xi in x3:
+        np.maximum(xi, 0.0, out=r)
+        total += r.sum(axis=1)
+        last += r[:, -1]
+    mean = (total + extra * last) / n
+
+    def centred(xi, out):
+        """relu(xi) - mean of one item, written into out."""
+        np.maximum(xi, 0.0, out=out)
+        out -= mean[:, None]
+        return out
+
+    total[:], last[:] = 0.0, 0.0
+    for xi in x3:
+        centred(xi, r)
+        r *= r
+        total += r.sum(axis=1)
+        last += r[:, -1]
+    var = (total + extra * last) / n  # biased
     m = state.momentum
     state.running_mean = (1 - m) * state.running_mean + m * mean
     state.running_var = (1 - m) * state.running_var + m * var
@@ -883,27 +917,34 @@ def relu_bn_conv1x1(x, state, w, b, train, last_count=1):
     gamma, beta = state.gamma, state.beta
     a = gamma.data * inv_std
     wa = w2 * a
-    out_data = np.matmul(wa, xc)
-    out_data += (w2 @ beta.data + b.data)[:, None]
+    shift = w2 @ beta.data + b.data
+    out_data = np.empty((B, Co, x3.shape[2]))
+    for xi, oi in zip(x3, out_data):
+        np.matmul(wa, centred(xi, r), out=oi)
+        oi += shift[:, None]
 
     def backward(g):
         G = g.reshape(B, Co, -1)
-        xc = np.maximum(x3, 0.0)
-        xc -= mean[:, None]
-        g_b = G.sum(axis=(0, 2))
-        mc = np.matmul(G, xc.transpose(0, 2, 1)).sum(axis=0)
+        gx = np.empty(x.data.shape)  # owned, so the sweep adopts it
+        gx3 = gx.reshape(B, C, -1)
+        xc = np.empty(x3.shape[1:])  # one item's centred cells, freed on return
+        mc, g_b = np.zeros((Co, C)), np.zeros(Co)
+        for xi, gi, gxi in zip(x3, G, gx3):
+            mc += gi @ centred(xi, xc).T
+            g_b += gi.sum(axis=1)
+            np.matmul(wa.T, gi, out=gxi)
         g_w = (mc * a + np.outer(g_b, beta.data)).reshape(Co, C, 1, 1)
         g_beta = w2.T @ g_b
         g_gamma = inv_std * (w2 * mc).sum(axis=0)
-        gx = np.empty(x.data.shape)  # owned, so the sweep adopts it
-        gx3 = gx.reshape(B, C, -1)
-        np.matmul(wa.T, G, out=gx3)
         # batchnorm's mean terms, in place of the centred cells they are made of
-        xc *= (-a * inv_std * g_gamma / n)[:, None]
-        xc -= (a * g_beta / n)[:, None]
-        xc[:, :, -1] *= last_count
-        gx3 += xc
-        gx3 *= x3 > 0.0
+        scale, offset = -a * inv_std * g_gamma / n, a * g_beta / n
+        for xi, gxi in zip(x3, gx3):
+            centred(xi, xc)
+            xc *= scale[:, None]
+            xc -= offset[:, None]
+            xc[:, -1] *= last_count
+            gxi += xc
+            gxi *= xi > 0.0
         return gx, g_w, g_b, g_gamma, g_beta
 
     return _make(out_data.reshape(B, Co, *cells), (x, w, b, gamma, beta), backward,

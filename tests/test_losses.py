@@ -265,11 +265,13 @@ class TestTotalLoss:
         a = losses.total_loss(out, g_s, g_e, g_c, cfg)[1]
         b = losses.total_loss(out, g_s, g_e, g_c, cfg)[1]
         assert a.total == b.total
-        assert a.sampled_negative_indices == b.sampled_negative_indices
+        assert np.array_equal(a.sampled_negative_indices, b.sampled_negative_indices)
 
     def test_breakdown_records_sampled_indices(self):
         out = self._outputs()
         g_s, g_e, g_c = self._labels()
         _, bd = losses.total_loss(out, g_s, g_e, g_c, losses.SamplingConfig(rng_seed=2))
-        assert isinstance(bd.sampled_negative_indices, list)
+        assert bd.sampled_negative_indices.size > 0
+        for idx in (bd.sampled_negative_indices, bd.sampled_zero_indices):
+            assert idx.dtype == np.intp and not idx.flags.writeable
         assert bd.seed == 2

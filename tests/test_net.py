@@ -316,12 +316,13 @@ class TestFusedForward:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
     def test_desk_step_peak_memory(self):
-        # forward, loss and backward of one desk step peak near 116 MB. With each 1-D
-        # conv node keeping its forward im2col for the weight gradient it peaked near
-        # 171 MB, keeping every intermediate gradient until the graph is dropped near
-        # 218 MB, with an unfused relu -> batchnorm -> 1x1 conv tail near 413 MB, and
-        # with that tail run on all T*T cells instead of the strip and one stand-in
-        # near 574 MB
+        # forward, loss and backward of one desk step peak near 105 MB, in
+        # band_map_conv's adjoint. With whole-batch passes in the fused tail blocks it
+        # peaked near 116 MB, with each 1-D conv node keeping its forward im2col for the
+        # weight gradient near 171 MB, keeping every intermediate gradient until the
+        # graph is dropped near 218 MB, with an unfused relu -> batchnorm -> 1x1 conv
+        # tail near 413 MB, and with that tail run on all T*T cells instead of the
+        # strip and one stand-in near 574 MB
         peak = _desk_step_peak()
         assert peak <= 140e6, f"peak {peak / 1e6:.1f} MB"
 

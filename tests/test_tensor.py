@@ -1,5 +1,6 @@
 """Tensor engine: op semantics, adjoints, record plumbing, Adam."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,6 +29,18 @@ def _im2col_adjoint(x, w, lo, hi, g):
     g_rows = g[:, :, lo:hi].transpose(1, 2, 0).reshape(Co, -1)
     gw = np.matmul(g_rows, col.reshape(-1, Ci * k)).reshape(Co, Ci, k)
     return t.conv1d_same_raw(g, w_flip, None), gw, g_rows.sum(axis=1)
+
+
+def _batch_im2col_conv(x, w, b, lo, hi):
+    """The 1-D conv forward that built the whole batch's time-major im2col before its
+    per-item GEMMs, as an oracle: conv1d_same_raw must match it bit for bit."""
+    B, _, T = x.shape
+    Co, Ci, k = w.shape
+    rows = np.matmul(t._im2col1d(x, k, lo, hi).transpose(1, 0, 2), w.reshape(Co, Ci * k).T)
+    rows += b
+    out = np.zeros((B, Co, T))
+    out[:, :, lo:hi] = rows.transpose(0, 2, 1)
+    return out
 
 
 class TestConv1d:
@@ -145,6 +158,36 @@ class TestConv1d:
         assert made and all(ref() is None for ref in made)
         t.tsum(out).backward()
         assert w.grad is not None
+
+    # the band convs' rows at desk widths (T=100) and at published widths
+    @pytest.mark.parametrize("Ci,Co", [(16, 16), (128, 256)])
+    @pytest.mark.parametrize("B", [1, 4, 16])
+    @pytest.mark.parametrize("k,lo,hi", [(1, 0, 100), (17, 0, 100), (33, 17, 100),
+                                         (57, 0, 67), (99, 0, 43)])
+    def test_raw_equals_batch_im2col_bit_for_bit(self, Ci, Co, B, k, lo, hi):
+        rng = t.init_rng(94)
+        x = rng.standard_normal((B, Ci, 100))
+        w = rng.standard_normal((Co, Ci, k))
+        b = rng.standard_normal(Co)
+        assert np.array_equal(t.conv1d_same_raw(x, w, b, lo, hi),
+                              _batch_im2col_conv(x, w, b, lo, hi))
+
+    def test_raw_holds_one_item_im2col_at_a_time(self):
+        # band 3 at published widths, B=4: the batch im2col took 17.4 MB, 4 items' worth
+        rng = t.init_rng(95)
+        B, Ci, Co, T, k, lo, hi = 4, 128, 256, 100, 99, 0, 43
+        x = rng.standard_normal((B, Ci, T))
+        w = rng.standard_normal((Co, Ci, k))
+        b = rng.standard_normal(Co)
+        tracemalloc.start()
+        try:
+            t.conv1d_same_raw(x, w, b, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        item_col, out = (hi - lo) * Ci * k * 8, B * Co * T * 8
+        # 10% covers the item's padded input and its GEMM rows
+        assert peak <= 1.1 * (item_col + out), f"peak {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("lo,hi", [(3, 3), (4, 2), (-1, 3), (0, 9)])
     def test_bad_row_range_rejected(self, lo, hi):
@@ -442,6 +485,61 @@ def _tail_block(C, Co, seed):
     return s, w, b
 
 
+def _assert_fused_matches_chain(x, r, train, last_count):
+    """relu_bn_conv1x1 on x against relu -> batchnorm_lite -> 1x1 conv2d_dilated, to
+    1e-12 relative: output, running buffers and, in train mode, the gradients of x, w,
+    b, gamma and beta under the probe r."""
+    C, Co = x.shape[1], r.shape[1]
+    runs = []
+    for fused in (True, False):
+        state, w, b = _tail_block(C, Co, seed=32)
+        xt = t.Tensor(x.copy(), requires_grad=True)
+        if fused:
+            out = t.relu_bn_conv1x1(xt, state, w, b, train, last_count)
+        else:
+            out = t.conv2d_dilated(t.batchnorm_lite(t.relu(xt), state, train, last_count),
+                                   w, b)
+        if train:
+            t.tsum(t.mul(out, r)).backward()
+        grads = [p.grad for p in (xt, w, b, state.gamma, state.beta)]
+        runs.append((out.data, grads, state.running_mean, state.running_var))
+    (out, grads, mean, var), (ref, ref_grads, ref_mean, ref_var) = runs
+    assert out.shape == ref.shape
+    for got, want in ((out, ref), (mean, ref_mean), (var, ref_var)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if not train:  # eval builds no graph
+        assert all(g is None for g in grads)
+        return
+    for got, want in zip(grads, ref_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _whole_batch_tail(x3, state, w2, b, last_count, G):
+    """The fused block's train statistics, output and adjoint as whole-batch passes
+    over the [B, C, cells] block, as an oracle: the per-item sweeps must match it bit
+    for bit. Returns (mean, var, out, gx, g_w, g_b, g_gamma, g_beta)."""
+    extra = last_count - 1
+    n = x3.shape[0] * (x3.shape[2] + extra)
+    xc = np.maximum(x3, 0.0)
+    mean = (xc.sum(axis=(0, 2)) + extra * xc[:, :, -1].sum(axis=0)) / n
+    xc -= mean[:, None]
+    sq = xc * xc
+    var = (sq.sum(axis=(0, 2)) + extra * sq[:, :, -1].sum(axis=0)) / n
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    a = state.gamma.data * inv_std
+    out = np.matmul(w2 * a, xc) + (w2 @ state.beta.data + b)[:, None]
+    g_b = G.sum(axis=(0, 2))
+    mc = np.matmul(G, xc.transpose(0, 2, 1)).sum(axis=0)
+    g_gamma = inv_std * (w2 * mc).sum(axis=0)
+    g_beta = w2.T @ g_b
+    xc *= (-a * inv_std * g_gamma / n)[:, None]
+    xc -= (a * g_beta / n)[:, None]
+    xc[:, :, -1] *= last_count
+    gx = np.matmul((w2 * a).T, G) + xc
+    gx *= x3 > 0.0
+    return mean, var, out, gx, mc * a + np.outer(g_b, state.beta.data), g_b, g_gamma, g_beta
+
+
 class TestReluBnConv1x1:
     """The fused tail block against relu -> batchnorm_lite -> 1x1 conv2d_dilated."""
 
@@ -452,35 +550,69 @@ class TestReluBnConv1x1:
     @pytest.mark.parametrize("offset", [0.7, 1000.0])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     def test_matches_unfused_chain(self, shape, last_count, offset, train):
-        B, C = shape[:2]
         rng = t.init_rng(31)
         x = rng.standard_normal(shape) * 2.0 + offset
-        r = rng.standard_normal((B, 5) + shape[2:])
-        runs = []
-        for fused in (True, False):
-            state, w, b = _tail_block(C, 5, seed=32)
-            xt = t.Tensor(x.copy(), requires_grad=True)
-            if fused:
-                out = t.relu_bn_conv1x1(xt, state, w, b, train, last_count)
-            else:
-                out = t.conv2d_dilated(t.batchnorm_lite(t.relu(xt), state, train, last_count),
-                                       w, b)
-            if train:
-                t.tsum(t.mul(out, r)).backward()
-            grads = [p.grad for p in (xt, w, b, state.gamma, state.beta)]
-            runs.append((out.data, grads, state.running_mean, state.running_var))
-        (out, grads, mean, var), (ref, ref_grads, ref_mean, ref_var) = runs
-        assert out.shape == ref.shape
-        for got, want in ((out, ref), (mean, ref_mean), (var, ref_var)):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        if not train:  # eval builds no graph
-            assert all(g is None for g in grads)
-            return
-        for got, want in zip(grads, ref_grads):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        r = rng.standard_normal((shape[0], 5) + shape[2:])
+        _assert_fused_matches_chain(x, r, train, last_count)
+
+    # the train branch's per-item sweeps and merged statistics, over batch sizes,
+    # stand-in weights and output widths; mean 1000 against spread 2 checks the merge
+    @pytest.mark.parametrize("B", [1, 3, 16])
+    @pytest.mark.parametrize("last_count", [1, 9, 40])
+    @pytest.mark.parametrize("Co", [2, 16])
+    @pytest.mark.parametrize("offset", [0.7, 1000.0])
+    def test_train_items_match_unfused_chain(self, B, last_count, Co, offset):
+        rng = t.init_rng(37)
+        x = rng.standard_normal((B, 6, 23, 1)) * 2.0 + offset
+        _assert_fused_matches_chain(x, rng.standard_normal((B, Co, 23, 1)), True, last_count)
+
+    @pytest.mark.parametrize("B,Co", [(1, 2), (3, 16), (16, 16)])
+    @pytest.mark.parametrize("last_count", [1, 40])
+    def test_train_equals_whole_batch_passes_bit_for_bit(self, B, Co, last_count):
+        rng = t.init_rng(40)
+        x = rng.standard_normal((B, 6, 131, 1)) + 0.3
+        g = rng.standard_normal((B, Co, 131, 1))
+        state, w, b = _tail_block(6, Co, seed=41)
+        m, running = state.momentum, (state.running_mean, state.running_var)
+        xt = t.Tensor(x, requires_grad=True)
+        out = t.relu_bn_conv1x1(xt, state, w, b, True, last_count)
+        got = (out.data.reshape(B, Co, -1),) + out._backward(g)
+        mean, var, *want = _whole_batch_tail(x.reshape(B, 6, -1), state, w.data[:, :, 0, 0],
+                                             b.data, last_count, g.reshape(B, Co, -1))
+        for stat, before, after in zip((mean, var), running,
+                                       (state.running_mean, state.running_var)):
+            assert np.array_equal(after, (1 - m) * before + m * stat)
+        for got_i, want_i in zip(got, want):
+            assert np.array_equal(got_i.reshape(want_i.shape), want_i)
+
+    def test_desk_block_allocates_one_item_besides_output_and_gx(self):
+        # one desk block: B=16, 16 channels, 6,346 strip cells and the stand-in for the
+        # other 3,654. With whole-batch passes, the forward's centred copy and its
+        # square and the adjoint's centred copy and relu mask made the peak near 3
+        # map-sized arrays on top of the output
+        B, C, n_cells, last_count = 16, 16, 6347, 3654
+        rng = t.init_rng(38)
+        state, w, b = _tail_block(C, 16, seed=39)
+        x = t.Tensor(rng.standard_normal((B, C, n_cells, 1)), requires_grad=True)
+        g = rng.standard_normal((B, 16, n_cells, 1))
+        item = C * n_cells * 8
+        tracemalloc.start()
+        try:
+            out = t.relu_bn_conv1x1(x, state, w, b, True, last_count)
+            gx = out._backward(g)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+            del gx
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        budget = 2 * out.data.nbytes + 2 * item  # the output, gx, O(one item)
+        assert peak <= budget, f"peak {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
+        # the node keeps its output and [C]-sized statistics, no scratch
+        assert kept <= out.data.nbytes + item // 8, f"kept {kept / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("shape,last_count", [((3, 2, 5, 1), 1), ((3, 2, 5, 1), 40),
-                                                  ((2, 3, 4, 4), 1), ((2, 3, 4, 4), 6)])
+                                                  ((2, 3, 4, 4), 1), ((2, 3, 4, 4), 6),
+                                                  ((1, 3, 6, 1), 9)])
     def test_gradients(self, shape, last_count):
         rng = t.init_rng(33)
         x = rng.standard_normal(shape)
