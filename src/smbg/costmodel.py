@@ -75,9 +75,6 @@ class CostReport:
     layers: list
     block_total: int
     module_total: int
-    wall_mean_s: float = 0.0
-    wall_std_s: float = 0.0
-    wall_median_s: float = 0.0
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -92,10 +89,6 @@ class CostReport:
             lines.append(f"{l.name:<16}{l.macs:>16,}{l.params:>12,}")
         lines.append(f"{'block total':<16}{self.block_total:>16,}")
         lines.append(f"{'module total':<16}{self.module_total:>16,}")
-        if self.wall_mean_s:
-            lines.append(f"wall: mean {self.wall_mean_s * 1e3:.2f} ms, "
-                         f"median {self.wall_median_s * 1e3:.2f} ms, "
-                         f"std {self.wall_std_s * 1e3:.2f} ms")
         return "\n".join(lines)
 
 

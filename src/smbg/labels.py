@@ -6,6 +6,9 @@ stands for the candidate interval [s*d_t, (e+1)*d_t], so start
 positions live at times n*d_t and end positions at times (n+1)*d_t.
 Keeping the two boundary sequences on their own time anchors makes the
 fused product hit exactly 1.0 on a grid-aligned instance.
+
+``valid_cells`` and ``TemporalGrid.cell_interval`` are the one definition
+of the valid cells and their seconds that losses and proposals read.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,36 +47,29 @@ class TemporalGrid:
         return self.duration / self.length
 
     def cell_interval(self, s, e):
-        """Seconds spanned by map cell (s, e)."""
+        """Seconds (s*dt, (e+1)*dt) spanned by map cell (s, e); s and e may be
+        index arrays. The end is not clamped to the duration."""
         return s * self.dt, (e + 1) * self.dt
 
 
-def ior(region_a, region_b):
-    """Intersection of the intervals over the length of region_a."""
-    a0, a1 = region_a
-    b0, b1 = region_b
-    if a1 <= a0:
-        raise ValueError(f"region_a must have positive length, got [{a0}, {a1}]")
-    inter = max(0.0, min(a1, b1) - max(a0, b0))
-    return inter / (a1 - a0)
+@lru_cache(maxsize=16)
+def valid_cells(T):
+    """(s, e) index arrays of the T(T+1)/2 valid cells e >= s of a T-grid.
 
-
-def iou(interval_a, interval_b):
-    """Intersection over union; two empty intervals give 0 by convention."""
-    a0, a1 = interval_a
-    b0, b1 = interval_b
-    inter = max(0.0, min(a1, b1) - max(a0, b0))
-    union = max(a1, b1) - min(a0, b0)
-    if union <= 0:
-        return 0.0
-    return inter / union
+    Row-major (by s, then e), the order of np.triu_indices(T). The arrays
+    are read-only and shared: a second call returns the same tuple.
+    """
+    ss, ee = np.triu_indices(T)
+    ss.flags.writeable = False
+    ee.flags.writeable = False
+    return ss, ee
 
 
 def interval_iou(a0, a1, b0, b1):
     """Broadcasting IoU of intervals [a0, a1] and [b0, b1].
 
-    Each entry is computed with the same float operations as iou, so it
-    equals iou exactly; where the union is not positive it is 0.
+    Each entry is computed with the same float operations as reference.iou,
+    so it equals it exactly; where the union is not positive it is 0.
     """
     inter = np.maximum(0.0, np.minimum(a1, b1) - np.maximum(a0, b0))
     union = np.maximum(a1, b1) - np.minimum(a0, b0)
@@ -82,8 +79,8 @@ def interval_iou(a0, a1, b0, b1):
 def interval_ior(a0, a1, b0, b1):
     """Broadcasting IoR: intersection of [a0, a1] and [b0, b1] over a1 - a0.
 
-    Each entry is computed with the same float operations as ior, so it
-    equals ior exactly; [a0, a1] must have positive length.
+    Each entry is computed with the same float operations as reference.ior,
+    so it equals it exactly; [a0, a1] must have positive length.
     """
     inter = np.maximum(0.0, np.minimum(a1, b1) - np.maximum(a0, b0))
     return inter / (a1 - a0)
@@ -122,13 +119,12 @@ def assign_map_labels(instances, grid, mode="iou"):
     """
     if mode not in MAP_LABEL_MODES:
         raise ValueError(f"unknown map label mode {mode!r}")
-    T, dt = grid.length, grid.dt
+    T = grid.length
     g_c = np.zeros((T, T))
     if not instances:
         return g_c
-    ss, ee = np.triu_indices(T)
-    cand_lo = ss * dt
-    cand_hi = (ee + 1) * dt
+    ss, ee = valid_cells(T)
+    cand_lo, cand_hi = grid.cell_interval(ss, ee)
     overlap = interval_iou if mode == "iou" else interval_ior
     for inst in instances:
         np.maximum.at(g_c, (ss, ee), overlap(cand_lo, cand_hi, inst.t_start, inst.t_end))

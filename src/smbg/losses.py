@@ -1,10 +1,12 @@
 """Training objectives: boundary, confidence-map and global guidance losses.
 
 All losses consume network outputs as graph tensors and labels as plain
-arrays, and pool positions across the batch. Map losses only ever see
-the valid upper triangle (end >= start). Sampling decisions depend on
-the labels and the seed alone, never on predictions, so a fixed seed
-makes every loss bitwise reproducible and finite-difference friendly.
+arrays, and pool positions across the batch. The map losses see only
+the valid cells e >= s, which ``total_loss`` gathers once into flat
+vectors (``labels.valid_cells`` order within each batch item). Sampling
+decisions depend on the labels and the seed alone, never on predictions,
+so a fixed seed makes every loss bitwise reproducible and
+finite-difference friendly.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as t
+from .labels import valid_cells
 
 PROB_EPS = 1e-7          # clamp for log arguments
 CONFIDENCE_LAMBDA = 10.0  # regression weight inside the confidence loss
@@ -83,12 +86,11 @@ def boundary_loss(p_s, p_e, g_s, g_e, theta=0.5):
     return t.add(weighted_bl_loss(p_s, g_s, theta), weighted_bl_loss(p_e, g_e, theta))
 
 
-def _valid_cells(shape):
-    """(b, s, e) index arrays for the upper triangle of [B,T,T] maps."""
-    B, T, _ = shape
-    ss, ee = np.triu_indices(T)
-    n = ss.size
-    return (np.repeat(np.arange(B), n), np.tile(ss, B), np.tile(ee, B))
+def _batch_cells(B, T):
+    """(b, s, e) index arrays of the valid cells of B maps [B, T, T]: batch
+    item by batch item, each in labels.valid_cells order."""
+    ss, ee = valid_cells(T)
+    return np.repeat(np.arange(B), ss.size), np.tile(ss, B), np.tile(ee, B)
 
 
 def select_confidence_samples(g_valid, cfg):
@@ -124,18 +126,15 @@ def select_confidence_samples(g_valid, cfg):
 def confidence_loss(p_c, p_r, g_c, cfg, lam=CONFIDENCE_LAMBDA):
     """Sampled classification loss plus weighted MSE regression loss.
 
+    p_c, p_r and g_c are the maps' valid cells as total_loss gathers them.
     Returns (loss tensor, sampled negative indices, sampled zero indices);
-    indices are positions in the flattened valid-cell list, kept for
-    reproducibility logs as read-only intp arrays.
+    indices are positions in those vectors, kept for reproducibility logs
+    as read-only intp arrays.
     """
-    cells = _valid_cells(p_c.data.shape)
-    g_valid = np.asarray(g_c, dtype=np.float64)[cells]
-    cls_idx, reg_idx, picked_neg, picked_zero = select_confidence_samples(g_valid, cfg)
-    p_c_valid = t.take_cells(p_c, cells)
-    p_r_valid = t.take_cells(p_r, cells)
-    cls = weighted_bl_loss(t.take_cells(p_c_valid, (cls_idx,)), g_valid[cls_idx],
-                           cfg.positive_threshold)
-    diff = t.sub(t.take_cells(p_r_valid, (reg_idx,)), g_valid[reg_idx])
+    g_c = np.asarray(g_c, dtype=np.float64)
+    cls_idx, reg_idx, picked_neg, picked_zero = select_confidence_samples(g_c, cfg)
+    cls = weighted_bl_loss(t.take_cells(p_c, (cls_idx,)), g_c[cls_idx], cfg.positive_threshold)
+    diff = t.sub(t.take_cells(p_r, (reg_idx,)), g_c[reg_idx])
     reg = t.tmean(t.square(diff))
     loss = t.add(cls, t.mul(reg, lam))
     return loss, _frozen(picked_neg), _frozen(picked_zero)
@@ -147,23 +146,36 @@ def global_guidance_loss(p_s, p_e, p_c, p_r, g_s, g_e, g_c, theta=0.5):
     Predictions fuse as P_s[s] * P_e[e] * P_c[s,e] * P_r[s,e] over valid
     cells; labels fuse the same way with G_c standing in for both map
     factors. This ties every branch to the score actually used at
-    inference time.
+    inference time. p_c, p_r and g_c are the maps' valid cells as
+    total_loss gathers them.
     """
-    b_idx, ss, ee = _valid_cells(p_c.data.shape)
+    b_idx, ss, ee = _batch_cells(*p_s.shape)
     pm = t.mul(t.mul(t.take_cells(p_s, (b_idx, ss)), t.take_cells(p_e, (b_idx, ee))),
-               t.mul(t.take_cells(p_c, (b_idx, ss, ee)), t.take_cells(p_r, (b_idx, ss, ee))))
+               t.mul(p_c, p_r))
     g_c = np.asarray(g_c, dtype=np.float64)
-    gm = (np.asarray(g_s)[b_idx, ss] * np.asarray(g_e)[b_idx, ee]
-          * g_c[b_idx, ss, ee] * g_c[b_idx, ss, ee])
+    gm = np.asarray(g_s)[b_idx, ss] * np.asarray(g_e)[b_idx, ee] * g_c * g_c
     return weighted_bl_loss(pm, gm, theta)
 
 
 def total_loss(outputs, g_s, g_e, g_c, cfg, beta=GUIDANCE_BETA, lam=CONFIDENCE_LAMBDA):
-    """Boundary + confidence + beta * guidance; returns (tensor, breakdown)."""
-    l_b = boundary_loss(outputs["P_s"], outputs["P_e"], g_s, g_e, cfg.positive_threshold)
-    l_c, picked_neg, picked_zero = confidence_loss(outputs["P_c"], outputs["P_r"], g_c, cfg, lam)
-    l_g = global_guidance_loss(outputs["P_s"], outputs["P_e"], outputs["P_c"], outputs["P_r"],
-                               g_s, g_e, g_c, cfg.positive_threshold)
+    """Boundary + confidence + beta * guidance; returns (tensor, breakdown).
+
+    P_s, P_e, g_s and g_e must be [B, T] and P_c, P_r and g_c [B, T, T];
+    the maps are gathered at their valid cells once, for both map losses.
+    """
+    p_s, p_e = outputs["P_s"], outputs["P_e"]
+    seq = p_s.shape
+    for name, x in (("P_s", p_s), ("P_e", p_e), ("g_s", g_s), ("g_e", g_e),
+                    ("P_c", outputs["P_c"]), ("P_r", outputs["P_r"]), ("g_c", g_c)):
+        if len(seq) != 2 or np.shape(x) != (seq if name[-1] in "se" else (*seq, seq[1])):
+            raise ValueError(f"total_loss: {name} has shape {np.shape(x)} and P_s {seq}; P_s, "
+                             f"P_e, g_s and g_e must be [B, T] and P_c, P_r and g_c [B, T, T]")
+    cells = _batch_cells(*seq)
+    p_c, p_r = t.take_cells(outputs["P_c"], cells), t.take_cells(outputs["P_r"], cells)
+    g_cells = np.asarray(g_c, dtype=np.float64)[cells]
+    l_b = boundary_loss(p_s, p_e, g_s, g_e, cfg.positive_threshold)
+    l_c, picked_neg, picked_zero = confidence_loss(p_c, p_r, g_cells, cfg, lam)
+    l_g = global_guidance_loss(p_s, p_e, p_c, p_r, g_s, g_e, g_cells, cfg.positive_threshold)
     total = t.add(t.add(l_b, l_c), t.mul(l_g, beta))
     breakdown = LossBreakdown(
         boundary=l_b.item(), confidence=l_c.item(), guidance=l_g.item(),

@@ -22,7 +22,9 @@ both modes) and a sigmoid. ``SmbgNet.predict``, which inference runs, is
 the eval forward without a graph. The dense map path (``mpfg_forward`` +
 ``sec_head``) stays as the reference it is checked against. The speed
 benchmark (``costmodel.bench``) times the band layer as ``mpfg_forward``
-under ``tensor.no_grad``, the same ops that training runs. A BMN-style
+under ``tensor.no_grad``: the band sequences that training and inference
+also compute, assembled into the dense map that neither of them builds,
+so training does not run ``mpfg_forward``'s ops. A BMN-style
 sampling generator is included purely as the efficiency baseline for the
 cost model and benchmarks; it is the only code here that calls raw numpy
 conv kernels directly.
@@ -244,8 +246,7 @@ class SmbgNet:
         self.sec_c2 = Conv2d(draw, c.sec_hidden, c.sec_hidden, 1)
         self.sec_bn3 = t.BatchNormState(c.sec_hidden)
         self.sec_c3 = Conv2d(draw, c.sec_hidden, 2, 1)
-        self.masks = build_masks(c.temporal_length, c.band_spec)
-        self.cells = band_cells(self.masks)
+        self.cells = band_cells(build_masks(c.temporal_length, c.band_spec))
 
     # -- parameter plumbing --------------------------------------------
     def named_parameters(self):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .labels import interval_iou
+from .labels import interval_iou, valid_cells
 
 SOFT_NMS_SIGMA = 0.4
 SCORE_FLOOR = 1e-4
@@ -28,20 +28,19 @@ class ScoredProposal(NamedTuple):
 
 
 def fuse_scores(p_s, p_e, p_c, p_r, grid):
-    """Dense proposals: one per valid (s, e) cell.
+    """Dense proposals: one per valid (s, e) cell, in labels.valid_cells order.
 
     Cell score is P_s[s] * P_e[e] * P_c[s,e] * P_r[s,e]; indices convert
-    to seconds through the grid (cell (s, e) spans [s*dt, (e+1)*dt]). The
-    product (e+1)*dt can round a few ulp past the duration, so ends are
-    clamped to it.
-    Returns parallel arrays (starts, ends, t_starts, t_ends, scores).
+    to seconds through grid.cell_interval. Its end (e+1)*dt can round a
+    few ulp past the duration, so ends are clamped to it.
+    Returns parallel arrays (starts, ends, t_starts, t_ends, scores); the
+    index arrays are labels.valid_cells' read-only ones.
     """
     p_s, p_e = np.asarray(p_s), np.asarray(p_e)
-    T = p_s.shape[0]
-    ss, ee = np.triu_indices(T)
+    ss, ee = valid_cells(p_s.shape[0])
     scores = p_s[ss] * p_e[ee] * np.asarray(p_c)[ss, ee] * np.asarray(p_r)[ss, ee]
-    t_ends = np.minimum((ee + 1) * grid.dt, grid.duration)
-    return ss, ee, ss * grid.dt, t_ends, scores
+    t_starts, t_ends = grid.cell_interval(ss, ee)
+    return ss, ee, t_starts, np.minimum(t_ends, grid.duration), scores
 
 
 def soft_nms(t_starts, t_ends, scores, sigma=SOFT_NMS_SIGMA,

@@ -1,7 +1,8 @@
-"""Scalar-loop reference kernels.
+"""Scalar-loop reference kernels and scalar interval overlaps.
 
-These deliberately avoid the vectorized code paths in ``tensor``: they
-serve as independent oracles for the fast kernels and, through
+These deliberately avoid the vectorized code paths in ``tensor`` and
+``labels``: they serve as independent oracles for the fast kernels and
+the broadcasting interval forms and, through
 ``MacCounter``, as the measured side of the analytic MAC formulas. The
 counter is bumped once per multiply-accumulate actually executed, and
 zero-padding taps are executed (multiplied by zero) so the counts match
@@ -103,3 +104,26 @@ def batchnorm_eval_ref(x, gamma, beta, mean, var, eps=1e-5):
     bshape = (1, -1) + (1,) * (x.ndim - 2)
     return gamma.reshape(bshape) * (x - mean.reshape(bshape)) / np.sqrt(
         var.reshape(bshape) + eps) + beta.reshape(bshape)
+
+
+def ior(region_a, region_b):
+    """Intersection of the intervals over the length of region_a; the
+    oracle of labels.interval_ior."""
+    a0, a1 = region_a
+    b0, b1 = region_b
+    if a1 <= a0:
+        raise ValueError(f"region_a must have positive length, got [{a0}, {a1}]")
+    inter = max(0.0, min(a1, b1) - max(a0, b0))
+    return inter / (a1 - a0)
+
+
+def iou(interval_a, interval_b):
+    """Intersection over union, the oracle of labels.interval_iou; two
+    empty intervals give 0 by convention."""
+    a0, a1 = interval_a
+    b0, b1 = interval_b
+    inter = max(0.0, min(a1, b1) - max(a0, b0))
+    union = max(a1, b1) - min(a0, b0)
+    if union <= 0:
+        return 0.0
+    return inter / union

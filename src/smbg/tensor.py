@@ -45,14 +45,12 @@ array, and the node keeps no map-sized intermediate; in eval it is
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-_ids = itertools.count()
 _grad_enabled = True
 
 
@@ -95,7 +93,6 @@ class Tensor:
         self._parents = tuple(parents)
         self._backward = backward
         self.op = op
-        self.id = next(_ids)
 
     @property
     def shape(self):
@@ -154,35 +151,6 @@ class Tensor:
                     p._accumulate(gp, _adoptable(gp, node.grad, grads, p.data))
             del grads, gp  # free what was copied before the next adjoint runs
             node.grad = None  # no later adjoint reads it; leaves keep theirs
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def first_non_finite(data):

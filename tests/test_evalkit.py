@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smbg import evalkit
-from smbg.labels import iou
+from smbg.reference import iou
 
 
 def perfect_setup():

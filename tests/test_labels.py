@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smbg.labels import (ActionInstance, TemporalGrid, assign_boundary_labels,
-                         assign_map_labels, build_label_set, interval_ior, ior, iou,
-                         load_annotations, save_annotations)
+                         assign_map_labels, build_label_set, interval_iou, interval_ior,
+                         load_annotations, save_annotations, valid_cells)
+from smbg.reference import ior, iou
 
 
 class TestIntervalRatios:
@@ -64,6 +65,28 @@ class TestGrid:
     def test_cell_interval(self):
         grid = TemporalGrid(10, 20.0)
         assert grid.cell_interval(2, 4) == (4.0, 10.0)
+        ss, ee = valid_cells(10)
+        want = [grid.cell_interval(int(s), int(e)) for s, e in zip(ss, ee)]
+        np.testing.assert_array_equal(np.stack(grid.cell_interval(ss, ee), axis=1), want)
+
+
+class TestValidCells:
+    @pytest.mark.parametrize("T", [1, 2, 6, 100])
+    def test_equals_triu_indices(self, T):
+        ss, ee = valid_cells(T)
+        want_s, want_e = np.triu_indices(T)
+        assert ss.size == T * (T + 1) // 2
+        np.testing.assert_array_equal(ss, want_s)
+        np.testing.assert_array_equal(ee, want_e)
+
+    def test_read_only(self):
+        ss, ee = valid_cells(6)
+        assert not ss.flags.writeable and not ee.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ss[0] = 1
+
+    def test_second_call_returns_the_same_object(self):
+        assert valid_cells(9) is valid_cells(9)
 
 
 class TestBoundaryLabels:
@@ -150,6 +173,22 @@ class TestMapLabels:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="map label"):
             assign_map_labels([], TemporalGrid(4, 4.0), mode="nope")
+
+    @pytest.mark.parametrize("mode", ["iou", "ior"])
+    @pytest.mark.parametrize("duration", [10.0, 70.3, 110.0])
+    def test_scores_cell_intervals_bit_for_bit(self, mode, duration):
+        # 110 over T=100: (e+1)*dt at e = T-1 rounds past the duration, and the
+        # labels score the unclamped interval that cell_interval gives
+        T = 100
+        grid = TemporalGrid(T, duration)
+        insts = [ActionInstance(0.1 * duration, 0.4 * duration),
+                 ActionInstance(0.35 * duration, duration)]
+        lo, hi = grid.cell_interval(*valid_cells(T))
+        assert (hi.max() > duration) == (duration == 110.0)
+        overlap = interval_iou if mode == "iou" else interval_ior
+        want = np.zeros((T, T))
+        want[valid_cells(T)] = np.maximum(*(overlap(lo, hi, i.t_start, i.t_end) for i in insts))
+        np.testing.assert_array_equal(assign_map_labels(insts, grid, mode), want)
 
 
 class TestLabelSetProperties:

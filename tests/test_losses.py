@@ -1,11 +1,14 @@
 """Objectives: weighted logistic loss, sampling rules, fused guidance, totals."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smbg import losses, tensor as t
+from smbg import losses, pipeline as pl, tensor as t
 from smbg.labels import ActionInstance, TemporalGrid, build_label_set
+from smbg.net import SmbgNet
 
 RNG = t.init_rng(55)
 
@@ -13,6 +16,49 @@ RNG = t.init_rng(55)
 def upper_cells(B, T):
     ss, ee = np.triu_indices(T)
     return np.repeat(np.arange(B), ss.size), np.tile(ss, B), np.tile(ee, B)
+
+
+def cell_vector(maps):
+    """The valid cells of [B, T, T] maps as one flat vector, in total_loss's order."""
+    B, T, _ = maps.shape
+    return maps[upper_cells(B, T)]
+
+
+# -- the map formulation total_loss replaced, kept as its oracle: each map loss
+# gathers every map's valid cells itself, so P_c and P_r are gathered twice
+
+def map_confidence_loss(p_c, p_r, g_c, cfg, lam=losses.CONFIDENCE_LAMBDA):
+    cells = upper_cells(*p_c.data.shape[:2])
+    g_valid = np.asarray(g_c, dtype=np.float64)[cells]
+    cls_idx, reg_idx, picked_neg, picked_zero = losses.select_confidence_samples(g_valid, cfg)
+    p_c_valid = t.take_cells(p_c, cells)
+    p_r_valid = t.take_cells(p_r, cells)
+    cls = losses.weighted_bl_loss(t.take_cells(p_c_valid, (cls_idx,)), g_valid[cls_idx],
+                                  cfg.positive_threshold)
+    diff = t.sub(t.take_cells(p_r_valid, (reg_idx,)), g_valid[reg_idx])
+    reg = t.tmean(t.square(diff))
+    return t.add(cls, t.mul(reg, lam)), picked_neg, picked_zero
+
+
+def map_global_guidance_loss(p_s, p_e, p_c, p_r, g_s, g_e, g_c, theta=0.5):
+    b_idx, ss, ee = upper_cells(*p_c.data.shape[:2])
+    pm = t.mul(t.mul(t.take_cells(p_s, (b_idx, ss)), t.take_cells(p_e, (b_idx, ee))),
+               t.mul(t.take_cells(p_c, (b_idx, ss, ee)), t.take_cells(p_r, (b_idx, ss, ee))))
+    g_c = np.asarray(g_c, dtype=np.float64)
+    gm = (np.asarray(g_s)[b_idx, ss] * np.asarray(g_e)[b_idx, ee]
+          * g_c[b_idx, ss, ee] * g_c[b_idx, ss, ee])
+    return losses.weighted_bl_loss(pm, gm, theta)
+
+
+def map_total_loss(outputs, g_s, g_e, g_c, cfg, beta=losses.GUIDANCE_BETA,
+                   lam=losses.CONFIDENCE_LAMBDA):
+    l_b = losses.boundary_loss(outputs["P_s"], outputs["P_e"], g_s, g_e, cfg.positive_threshold)
+    l_c, picked_neg, picked_zero = map_confidence_loss(outputs["P_c"], outputs["P_r"], g_c, cfg,
+                                                       lam)
+    l_g = map_global_guidance_loss(outputs["P_s"], outputs["P_e"], outputs["P_c"],
+                                   outputs["P_r"], g_s, g_e, g_c, cfg.positive_threshold)
+    total = t.add(t.add(l_b, l_c), t.mul(l_g, beta))
+    return total, (l_b.item(), l_c.item(), l_g.item(), picked_neg, picked_zero)
 
 
 class TestWeightedBlLoss:
@@ -144,7 +190,7 @@ class TestConfidenceLoss:
         return g_c
 
     def test_regression_offset_closed_form(self):
-        g_c = self._maps()
+        g_c = cell_vector(self._maps())
         p_c = t.Tensor(np.clip(g_c, 1e-3, 1 - 1e-3))
         cfg = losses.SamplingConfig(rng_seed=5)
         base = losses.confidence_loss(p_c, t.Tensor(np.clip(g_c, 0.0, 1.0)), g_c, cfg)[0].item()
@@ -156,12 +202,13 @@ class TestConfidenceLoss:
         T = 8
         g_c = np.zeros((1, T, T))
         g_c[0, 2, 5] = 1.0
+        g_c = cell_vector(g_c)
         p = t.Tensor(np.clip(g_c, 1e-4, 1 - 1e-4))
         cfg = losses.SamplingConfig(rng_seed=2)
         assert losses.confidence_loss(p, p, g_c, cfg)[0].item() < 5e-3
 
     def test_bitwise_deterministic(self):
-        g_c = self._maps()
+        g_c = cell_vector(self._maps())
         p_c = t.Tensor(RNG.uniform(0.1, 0.9, g_c.shape))
         p_r = t.Tensor(RNG.uniform(0.1, 0.9, g_c.shape))
         cfg = losses.SamplingConfig(rng_seed=11)
@@ -170,7 +217,7 @@ class TestConfidenceLoss:
         assert a == b
 
     def test_gradient(self):
-        g_c = self._maps()
+        g_c = cell_vector(self._maps())
         p_c = t.Tensor(RNG.uniform(0.2, 0.8, g_c.shape), requires_grad=True)
         p_r = t.Tensor(RNG.uniform(0.2, 0.8, g_c.shape), requires_grad=True)
         cfg = losses.SamplingConfig(rng_seed=4)
@@ -182,9 +229,9 @@ class TestConfidenceLoss:
 class TestGlobalGuidance:
     def test_all_zero_labels_near_zero_with_small_predictions(self):
         T = 6
-        g = np.zeros((1, T)), np.zeros((1, T)), np.zeros((1, T, T))
+        g = np.zeros((1, T)), np.zeros((1, T)), np.zeros(T * (T + 1) // 2)
         small = t.Tensor(np.full((1, T), 1e-3))
-        small_map = t.Tensor(np.full((1, T, T), 1e-3))
+        small_map = t.Tensor(np.full(T * (T + 1) // 2, 1e-3))
         loss = losses.global_guidance_loss(small, small, small_map, small_map, *g)
         assert loss.item() < 1e-6  # the probability clamp floors this at ~1e-7
 
@@ -202,11 +249,12 @@ class TestGlobalGuidance:
         G_s, G_e, G_c = g_s[None], g_e[None], g_c[None]
         p_s = t.Tensor(np.clip(G_s, 0.05, 0.95))
         p_e = t.Tensor(np.clip(G_e, 0.05, 0.95))
-        p_r = t.Tensor(np.clip(G_c, 0.05, 0.95))
-        good = t.Tensor(np.clip(G_c, 0.05, 0.95))
+        p_r = t.Tensor(cell_vector(np.clip(G_c, 0.05, 0.95)))
+        good = t.Tensor(cell_vector(np.clip(G_c, 0.05, 0.95)))
         masked_data = np.clip(G_c, 0.05, 0.95).copy()
         masked_data[0, 3, 5] = 0.05
-        masked = t.Tensor(masked_data)
+        masked = t.Tensor(cell_vector(masked_data))
+        G_c = cell_vector(G_c)
         l_good = losses.global_guidance_loss(p_s, p_e, good, p_r, G_s, G_e, G_c).item()
         l_masked = losses.global_guidance_loss(p_s, p_e, masked, p_r, G_s, G_e, G_c).item()
         assert l_masked > l_good
@@ -215,11 +263,11 @@ class TestGlobalGuidance:
         T = 6
         g_s = RNG.uniform(0, 1, (2, T))
         g_e = RNG.uniform(0, 1, (2, T))
-        g_c = np.triu(RNG.uniform(0, 1, (2, T, T)))
+        g_c = cell_vector(np.triu(RNG.uniform(0, 1, (2, T, T))))
         p_s = t.Tensor(RNG.uniform(0.2, 0.8, (2, T)), requires_grad=True)
         p_e = t.Tensor(RNG.uniform(0.2, 0.8, (2, T)), requires_grad=True)
-        p_c = t.Tensor(RNG.uniform(0.2, 0.8, (2, T, T)), requires_grad=True)
-        p_r = t.Tensor(RNG.uniform(0.2, 0.8, (2, T, T)), requires_grad=True)
+        p_c = t.Tensor(cell_vector(RNG.uniform(0.2, 0.8, (2, T, T))), requires_grad=True)
+        p_r = t.Tensor(cell_vector(RNG.uniform(0.2, 0.8, (2, T, T))), requires_grad=True)
         err = t.grad_check(
             lambda i: losses.global_guidance_loss(i[0], i[1], i[2], i[3], g_s, g_e, g_c),
             [p_s, p_e, p_c, p_r])
@@ -275,3 +323,103 @@ class TestTotalLoss:
         for idx in (bd.sampled_negative_indices, bd.sampled_zero_indices):
             assert idx.dtype == np.intp and not idx.flags.writeable
         assert bd.seed == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"g_c": (2, 7, 7)},    # another T: the loss would read g_c's top-left triangle
+        {"g_c": (3, 4, 4)},    # another batch size
+        {"g_s": (2, 5)}, {"g_e": (1, 4)}, {"P_r": (2, 4, 5)}, {"P_e": (2, 4, 1)},
+        {"P_s": (2, 4, 4)},
+    ])
+    def test_shape_mismatch_names_both_shapes(self, bad):
+        shapes = {"P_s": (2, 4), "P_e": (2, 4), "P_c": (2, 4, 4), "P_r": (2, 4, 4),
+                  "g_s": (2, 4), "g_e": (2, 4), "g_c": (2, 4, 4)} | bad
+        arrays = {k: RNG.uniform(0.1, 0.9, v) for k, v in shapes.items()}
+        out = {k: t.Tensor(arrays[k]) for k in ("P_s", "P_e", "P_c", "P_r")}
+        (name, shape), = bad.items()
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} has shape {shape} and P_s {shapes['P_s']}")):
+            losses.total_loss(out, arrays["g_s"], arrays["g_e"], arrays["g_c"],
+                              losses.SamplingConfig(rng_seed=1))
+
+
+def _assert_total_loss_matches_map_oracle(make_outputs, labels, cfg, leaves):
+    """total_loss and map_total_loss on the same forward: equal loss terms and sampled
+    indices, and equal gradients on every leaf, all bit for bit."""
+    runs = []
+    for loss_fn in (losses.total_loss, map_total_loss):
+        for leaf in leaves():
+            leaf.zero_grad()
+        total, bd = loss_fn(make_outputs(), *labels, cfg)
+        total.backward()
+        if loss_fn is losses.total_loss:
+            bd = (bd.boundary, bd.confidence, bd.guidance, bd.sampled_negative_indices,
+                  bd.sampled_zero_indices)
+        runs.append((total.item(), bd, [leaf.grad.copy() for leaf in leaves()]))
+    (new_total, new_bd, new_grads), (old_total, old_bd, old_grads) = runs
+    assert new_total == old_total
+    assert new_bd[:3] == old_bd[:3]
+    for a, b in zip(new_bd[3:], old_bd[3:]):
+        assert np.array_equal(a, b)
+    assert len(new_grads) == len(old_grads) > 0
+    for a, b in zip(new_grads, old_grads):
+        assert np.array_equal(a, b)
+
+
+def _desk_batch(B):
+    """RunConfig() desk model and B of its training samples: cfg, net, x, labels."""
+    cfg = pl.RunConfig()
+    train_ds, *_ = pl.make_benchmark_datasets(0, n_train=B, n_eval=1, channels=cfg.in_channels)
+    batch = pl.build_samples(train_ds, cfg)[:B]
+    labels = tuple(np.stack([b[k] for b in batch]) for k in ("g_s", "g_e", "g_c"))
+    return cfg, SmbgNet(cfg.model_config(), seed=0), np.stack([b["x"] for b in batch]), labels
+
+
+def _graph_nodes(root):
+    seen, stack, out = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(node._parents)
+    return out
+
+
+class TestTotalLossOneGather:
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("T", [1, 6, 16])
+    @pytest.mark.parametrize("sample_cls", [True, False])
+    @pytest.mark.parametrize("sample_reg", [True, False])
+    def test_equals_map_formulation(self, B, T, sample_cls, sample_reg):
+        rng = t.init_rng(1000 * B + T)
+        shapes = {"P_s": (B, T), "P_e": (B, T), "P_c": (B, T, T), "P_r": (B, T, T)}
+        leaves = {k: t.Tensor(rng.uniform(0.05, 0.95, v), requires_grad=True)
+                  for k, v in shapes.items()}
+        g_c = np.triu(rng.uniform(0, 1, (B, T, T)))
+        g_c[g_c < 0.5] *= rng.uniform(size=g_c[g_c < 0.5].shape) < 0.5  # exact zeros
+        labels = rng.uniform(0, 1, (B, T)), rng.uniform(0, 1, (B, T)), g_c
+        cfg = losses.SamplingConfig(rng_seed=17 * T + B, sample_classification=sample_cls,
+                                    sample_regression=sample_reg)
+        _assert_total_loss_matches_map_oracle(lambda: dict(leaves), labels, cfg,
+                                              lambda: list(leaves.values()))
+
+    def test_desk_forward_equals_map_formulation(self):
+        cfg, net, x, labels = _desk_batch(16)
+        params = [p for _, p in net.named_parameters()]
+        _assert_total_loss_matches_map_oracle(
+            lambda: net.forward(t.Tensor(x), train=True), labels,
+            cfg.sampling_config(rng_seed=3), lambda: params)
+
+    def test_training_graph_gathers_two_maps(self):
+        B = 2
+        cfg, net, x, labels = _desk_batch(B)
+        T = cfg.temporal_length
+
+        def map_gathers(loss_fn):
+            total, _ = loss_fn(net.forward(t.Tensor(x), train=True), *labels,
+                               cfg.sampling_config())
+            return sum(n.op == "take_cells" and n._parents[0].shape == (B, T, T)
+                       for n in _graph_nodes(total))
+
+        assert map_gathers(losses.total_loss) == 2
+        assert map_gathers(map_total_loss) == 4

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from smbg import pipeline as pl
 from smbg import postprocess as pp
 from smbg import tensor as t
-from smbg.labels import TemporalGrid, interval_iou, iou
+from smbg.labels import TemporalGrid, interval_iou, valid_cells
 from smbg.net import SmbgNet, save_checkpoint
+from smbg.reference import iou
 
 RNG = t.init_rng(31)
 
@@ -55,6 +56,21 @@ class TestFuseScores:
                                        np.ones((T, T)), grid)
         assert te.max() == duration
         assert np.all(te <= duration) and np.all(ts < te)
+
+    @pytest.mark.parametrize("duration", [8.0, 70.3, 110.0])
+    def test_intervals_are_cell_intervals(self, duration):
+        # at 110 the last cells' (e+1)*dt rounds past the duration; fuse_scores
+        # clamps exactly those ends to it and keeps every other bit
+        T = 100
+        grid = TemporalGrid(T, duration)
+        ss, ee, ts, te, _ = pp.fuse_scores(np.ones(T), np.ones(T), np.ones((T, T)),
+                                           np.ones((T, T)), grid)
+        lo, hi = grid.cell_interval(*valid_cells(T))
+        assert ss is valid_cells(T)[0] and ee is valid_cells(T)[1]
+        np.testing.assert_array_equal(ts, lo)
+        np.testing.assert_array_equal(te, np.minimum(hi, duration))
+        if duration == 110.0:
+            assert hi.max() > duration and te.max() == duration
 
     def test_seconds_follow_grid_convention(self):
         grid = TemporalGrid(4, 8.0)  # dt = 2
@@ -300,7 +316,7 @@ def soft_nms_oracle(t_starts, t_ends, scores, sigma=pp.SOFT_NMS_SIGMA,
 def greedy_merge_oracle(t_starts, t_ends, scores, iou_threshold=0.95):
     """The all-pairs greedy merge: each candidate, in stable descending-score
     order, is compared with every interval kept so far through the scalar
-    labels.iou."""
+    reference.iou."""
     order = np.argsort(-scores, kind="stable")
     keep_ts, keep_te, keep_sc = [], [], []
     for i in order:
