@@ -191,6 +191,7 @@ def main(argv=None):
     p.add_argument("--eval-videos", type=int, default=10)
 
     args = parser.parse_args(argv)
+    pipeline._keep_freed_memory()
     handler = {
         "synth": cmd_synth, "train": cmd_train, "infer": cmd_infer, "eval": cmd_eval,
         "cost": cmd_cost, "bench": cmd_bench, "probe": cmd_probe, "sweep": cmd_sweep,

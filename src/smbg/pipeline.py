@@ -12,10 +12,13 @@ structural task (boundary localization in noisy sequences).
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import itertools
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -26,6 +29,31 @@ from .labels import (MAP_LABEL_MODES, ActionInstance, TemporalGrid, build_label_
 from .net import (BandSpecError, ModelConfig, ModelFieldError, SmbgNet,
                   drop_mask_mode, load_arrays, load_checkpoint, net_from_arrays,
                   save_arrays, save_checkpoint)
+
+
+# glibc mallopt parameters, and the size under which freed memory stays held
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HELD_HEAP_BYTES = 1 << 30
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Keep freed memory in the process, once per process: glibc's malloc
+    serves every block under 1 GiB from its heap and does not hand freed heap
+    back to the kernel. By default it maps each large array (a map, an
+    im2col, a checkpoint's weights) afresh and unmaps it when freed, so every
+    batch and training step pays a page fault per 4 KiB of them; held, they
+    reuse pages the process already has. RSS then stays at its peak. True when
+    both thresholds were set; a C library without mallopt is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _HELD_HEAP_BYTES),
+                mallopt(_M_TRIM_THRESHOLD, _HELD_HEAP_BYTES)])
 
 
 @dataclass
@@ -212,32 +240,70 @@ def _raise_bad_cell(path, li, row):
             raise ValueError(f"{path}: non-finite cell at row {li + 1}, column {ci + 1}")
 
 
+def _is_header(row):
+    """A feature CSV's first row is a header only when none of its cells is a
+    number; a first row with a bad cell among numbers is a bad data row."""
+    for cell in row:
+        try:
+            float(cell)
+        except ValueError:
+            continue
+        return False
+    return True
+
+
+def _scan_features_csv(path):
+    """[channels, T_raw] from a CSV, one Python float per cell. The reference
+    reader, and the only code that names what is wrong with a rejected file."""
+    rows = []
+    width = None
+    with open(path, newline="") as f:
+        for li, row in enumerate(csv.reader(f)):
+            if not row or (li == 0 and _is_header(row)):
+                continue
+            try:
+                vals = list(map(float, row))
+            except ValueError:
+                vals = None
+            if width is None:
+                width = len(row)
+            if len(row) != width:
+                raise ValueError(f"{path}: ragged row {li + 1} "
+                                 f"(expected {width} columns, got {len(row)})")
+            if vals is None or not all(map(math.isfinite, vals)):
+                _raise_bad_cell(path, li, row)
+            rows.append(vals)
+    if not rows:
+        raise ValueError(f"{path}: empty feature file")
+    return np.array(rows).T.copy()
+
+
 def load_features(path):
-    """[channels, T_raw] matrix from CSV or the binary container."""
+    """[channels, T_raw] matrix from CSV or the binary container.
+
+    A CSV is parsed in C by np.loadtxt. A file loadtxt refuses, or whose
+    array holds a non-finite value, goes to _scan_features_csv, which gives
+    the array it would give alone for what loadtxt's stricter cells refuse
+    (quoted numbers, `1_000`) and names the bad cell of the rest.
+    """
     if path.endswith(".csv"):
-        rows = []
-        width = None
         with open(path, newline="") as f:
-            for li, row in enumerate(csv.reader(f)):
-                if not row:
-                    continue
-                try:
-                    vals = list(map(float, row))
-                except ValueError:
-                    if li == 0:
-                        continue  # header line
-                    vals = None
-                if width is None:
-                    width = len(row)
-                if len(row) != width:
-                    raise ValueError(f"{path}: ragged row {li + 1} "
-                                     f"(expected {width} columns, got {len(row)})")
-                if vals is None or not all(map(math.isfinite, vals)):
-                    _raise_bad_cell(path, li, row)
-                rows.append(vals)
-        if not rows:
-            raise ValueError(f"{path}: empty feature file")
-        return np.array(rows).T.copy()
+            reader = csv.reader(f)
+            first = next(reader, None)
+            skip = reader.line_num if first and _is_header(first) else 0
+        if first is not None:
+            try:
+                with warnings.catch_warnings():
+                    # a file of blank lines or a header alone is the scanner's to name
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(path, dtype=np.float64, delimiter=",",
+                                      comments=None, skiprows=skip, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if data.size and np.isfinite(data).all():
+                    return data.T.copy()
+        return _scan_features_csv(path)
     _, arrays = load_arrays(path)
     if "features" not in arrays:
         raise ValueError(f"{path}: feature container has no 'features' array")
@@ -513,6 +579,7 @@ def train(config, dataset, resume=None):
     non-finite value. The result's epoch_mean_loss holds the epochs this
     call ran, start_epoch + 1 onward.
     """
+    _keep_freed_memory()
     os.makedirs(config.checkpoint_dir, exist_ok=True)
     samples = build_samples(dataset, config)
     if not samples:
@@ -587,6 +654,7 @@ def infer(config, checkpoint_path, dataset, out_path=None):
     padding at most doubles them. Proposal ends are clamped to the video's
     duration.
     """
+    _keep_freed_memory()
     net, header = load_checkpoint(checkpoint_path)
     T = net.config.temporal_length
     vids = sorted(dataset)

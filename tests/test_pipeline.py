@@ -2,10 +2,17 @@
 
 import json
 import os
+import platform
 import re
+import subprocess
+import sys
+import tempfile
+import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smbg import pipeline as pl
 from smbg import postprocess as pp
@@ -130,6 +137,22 @@ class TestFeatureFiles:
         with pytest.raises(ValueError, match="empty"):
             pl.load_features(str(path))
 
+    def test_corrupt_first_row_is_named_not_dropped(self, tmp_path):
+        # a first row with a number in it is data, not a header
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,abc\n3.0,4.0\n5.0,6.0\n")
+        with pytest.raises(ValueError, match="non-numeric cell at row 1, column 2: 'abc'"):
+            pl.load_features(str(path))
+
+    @pytest.mark.parametrize("text", ["", "c0,c1\n", "\n\n"])
+    def test_no_data_rejected_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty feature file"):
+                pl.load_features(str(path))
+
     def test_headerless_csv_accepted(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("1.0,2.0\n3.0,4.0\n")
@@ -164,6 +187,163 @@ class TestFeatureFiles:
         with pytest.raises(ValueError, match=r"f\.bin: features must be \[channels, T\], "
                                              r"got shape \(4,\)"):
             pl.load_features(path)
+
+
+def _read_outcome(read, path):
+    """The array `read` returns, or the message of the ValueError it raises."""
+    try:
+        return read(path)
+    except ValueError as e:
+        return str(e)
+
+
+def assert_reads_like_scanner(path):
+    """load_features gives the scanner's array bit for bit, or its message."""
+    fast = _read_outcome(pl.load_features, path)
+    scanned = _read_outcome(pl._scan_features_csv, path)
+    if isinstance(scanned, str):
+        assert fast == scanned
+    else:
+        assert isinstance(fast, np.ndarray), fast
+        assert fast.dtype == scanned.dtype and fast.flags.c_contiguous
+        assert np.array_equal(fast, scanned)
+
+
+_CSV_CASES = {
+    "header": "c0,c1\n1.5,2.5\n3.5,4.5\n",
+    "no_header": "1.5,2.5\n3.5,4.5\n",
+    "crlf": "c0,c1\r\n1.5,2.5\r\n3.5,4.5\r\n",
+    "cr": "1.5,2.5\r3.5,4.5\r",
+    "no_final_newline": "c0,c1\n1.5,2.5\n3.5,4.5",
+    "blank_lines": "\n1.5,2.5\n\n3.5,4.5\n\n",
+    "blank_before_header": "\nc0,c1\n1.5,2.5\n",
+    "whitespace_line": "1.5,2.5\n  \n3.5,4.5\n",
+    "whitespace_line_one_column": "1.5\n\t\n3.5\n",
+    "whitespace_first_line": " \n1.5,2.5\n",
+    "spaces_around_cells": "1.5 , 2.5\n 3.5,4.5 \n",
+    "quoted_numbers": '"1.5","2.5"\n3.5,4.5\n',
+    "quoted_header": '"c0","c1"\n1.5,2.5\n',
+    "quoted_header_with_number": '"1",c1\n1.5,2.5\n',
+    "underscores": "1_000,2\n3,4_5\n",
+    "hash_header": "#c0,c1\n1,2\n",
+    "hash_cell": "#1.0,2.0\n3,4\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "bom_header": "\ufeffc0,c1\n1,2\n",
+    "bom_first_cell": "\ufeff1,2\n3,4\n",
+    "nan": "c0,c1\n1,nan\n",
+    "inf_first_row": "inf,1\n2,3\n",
+    "ragged_short": "1,2\n3\n",
+    "ragged_long": "c0,c1\n1,2\n3,4,5\n",
+    "corrupt_first_row": "1.0,abc\n3.0,4.0\n5.0,6.0\n",
+    "one_cell": "7\n",
+    "empty": "",
+    "header_only": "c0,c1\n",
+}
+
+# cells loadtxt and float() both take, cells only float() takes, and bad cells
+_CSV_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["0", "-0.0", " 1.5 ", "1e-320", "1e309", "nan", "-inf", "1_000",
+                     '"2.5"', "#", "#3", "", " ", "abc", "c0", "\ufeff1", "0x10"]))
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    row = st.lists(_CSV_CELLS, min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, row, row, st.just([]),
+                                   st.lists(_CSV_CELLS, min_size=1, max_size=4)),
+                         max_size=6))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(",".join(cells) for cells in rows)
+    return text + eol if rows and draw(st.booleans()) else text
+
+
+class TestCsvFastPath:
+    @pytest.mark.parametrize("name", sorted(_CSV_CASES))
+    def test_reads_like_scanner(self, tmp_path, name):
+        path = tmp_path / "f.csv"
+        with open(path, "w", newline="") as f:
+            f.write(_CSV_CASES[name])
+        assert_reads_like_scanner(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_texts())
+    def test_generated_files_read_like_scanner(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "f.csv")
+            with open(path, "w", newline="") as f:
+                f.write(text)
+            assert_reads_like_scanner(path)
+
+    @pytest.mark.parametrize("name", ["header", "no_header", "crlf", "cr",
+                                      "no_final_newline", "blank_lines",
+                                      "whitespace_first_line", "spaces_around_cells",
+                                      "hash_header", "bom_header", "one_cell"])
+    def test_clean_files_skip_the_scanner(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "f.csv"
+        with open(path, "w", newline="") as f:
+            f.write(_CSV_CASES[name])
+        expected = pl._scan_features_csv(str(path))
+
+        def scan(path):
+            raise AssertionError(f"{path} reached the scanner")
+
+        monkeypatch.setattr(pl, "_scan_features_csv", scan)
+        assert np.array_equal(pl.load_features(str(path)), expected)
+
+
+_HELD_HEAP_SCRIPT = """
+import os, resource, tempfile
+from smbg import pipeline as pl
+train, _, evals, _ = pl.make_benchmark_datasets(0, n_train=64, n_eval=8)
+with tempfile.TemporaryDirectory() as d:
+    for rep in range(2):
+        cfg = pl.RunConfig(epochs=1, checkpoint_dir=os.path.join(d, str(rep)))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        pl.infer(cfg, pl.train(cfg, train).checkpoints[-1], evals)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
+class TestKeepFreedMemory:
+    def test_sets_both_thresholds_once(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(pl.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=mallopt))
+        pl._keep_freed_memory.cache_clear()
+        try:
+            assert [pl._keep_freed_memory() for _ in range(3)] == [True] * 3
+        finally:
+            pl._keep_freed_memory.cache_clear()
+        assert calls == [(-3, 1 << 30), (-1, 1 << 30)]
+
+    @pytest.mark.parametrize("libc", [types.SimpleNamespace(), None])
+    def test_without_mallopt_does_nothing(self, monkeypatch, libc):
+        def cdll(name):
+            if libc is None:
+                raise OSError("no C library")
+            return libc
+
+        monkeypatch.setattr(pl.ctypes, "CDLL", cdll)
+        assert pl._keep_freed_memory.__wrapped__() is False
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+    def test_second_train_and_infer_take_no_fresh_pages(self):
+        # a fresh process, so no earlier test has set the thresholds; with glibc's
+        # defaults the second 4-step toy train + infer takes over 12,000 minor faults
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pl.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _HELD_HEAP_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=600)
+        assert int(out.stdout) <= 1000
 
 
 class TestRescale:
